@@ -13,7 +13,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
@@ -193,9 +193,7 @@ class MockBackend:
     generate() returns text that starts with the first 12 hex characters of
     the prompt hash, so downstream artifacts are trivially traceable. Scores
     come from the synthetic oracle described on MockOracleParams. Determinism
-    is keyed on (seed, sample identity, conditioned flag); distinct samples
-    are expected to render distinct prompts, as with real datasets, which
-    keeps the prompt-keyed cache transparent.
+    is keyed on (seed, sample identity, conditioned flag).
     """
 
     _VOCAB = (
@@ -389,12 +387,33 @@ class RemoteBackend:
 # Response cache
 # ---------------------------------------------------------------------------
 
-def text_cache_key(model_id: str, prompt_hash: str) -> str:
-    return stable_digest("generate", model_id, prompt_hash)
+# Bump when the key or the stored value changes meaning, so older entries miss.
+CACHE_SCHEMA = "2"
 
 
-def scores_cache_key(model_id: str, prompt_hash: str, choices: Sequence[str], normalization: str) -> str:
-    return stable_digest("score", model_id, prompt_hash, *choices, normalization)
+def backend_cache_key(backend: Backend) -> str:
+    """Digest of what, besides the request, changes a backend's answers.
+
+    That is the model id and temperature, plus the effective oracle params
+    (seed included) for a mock.
+    """
+    params = json.dumps(asdict(backend.params), sort_keys=True) if isinstance(backend, MockBackend) else ""
+    return stable_digest(CACHE_SCHEMA, backend.config.model_id, repr(backend.config.temperature), params)
+
+
+def text_cache_key(backend_key: str, prompt_hash: str, image: str | None) -> str:
+    return stable_digest("generate", backend_key, prompt_hash, image or "")
+
+
+def scores_cache_key(
+    backend_key: str,
+    prompt_hash: str,
+    image: str | None,
+    choices: Sequence[str],
+    normalization: str,
+    hint_key: str = "",
+) -> str:
+    return stable_digest("score", backend_key, prompt_hash, image or "", *choices, normalization, hint_key)
 
 
 class ResponseCache:
@@ -465,13 +484,16 @@ class CachingBackend:
     def __init__(self, inner: Backend, cache: ResponseCache):
         self.inner = inner
         self.cache = cache
+        self._backend_key = backend_cache_key(inner)
+        # A mock's scores also depend on the score hint, which a model server never sees.
+        self._keys_hint = isinstance(inner, MockBackend)
 
     @property
     def config(self) -> BackendConfig:
         return self.inner.config
 
     def generate(self, prompt: RenderedPrompt, image: str | None = None) -> str:
-        key = text_cache_key(self.config.model_id, prompt.hash)
+        key = text_cache_key(self._backend_key, prompt.hash, image)
         entry = self.cache.get(key)
         if entry is not None and entry["kind"] == "text":
             return entry["value"]
@@ -487,7 +509,8 @@ class CachingBackend:
         hint: ScoreHint | None = None,
         normalization: str = "total",
     ) -> ChoiceScores:
-        key = scores_cache_key(self.config.model_id, prompt.hash, choices, normalization)
+        hint_key = repr(hint) if self._keys_hint else ""
+        key = scores_cache_key(self._backend_key, prompt.hash, image, choices, normalization, hint_key)
         entry = self.cache.get(key)
         if entry is not None and entry["kind"] == "scores":
             value = entry["value"]

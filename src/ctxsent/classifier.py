@@ -44,9 +44,10 @@ def softmax(scores: Sequence[float]) -> PolarityDistribution:
 class ClassifierOutput:
     """One classification result: distribution plus its raw scores.
 
-    raw is None for results imported from external prediction files; imported
-    rows get a synthetic raw vector of log-probabilities so the softmax
-    relationship still holds.
+    raw is None only when a caller builds an output without scores. Rows
+    imported from external prediction files without raw scores get a
+    synthetic raw vector of log-probabilities, so the softmax relationship
+    still holds.
     """
 
     sample_id: str
@@ -99,12 +100,10 @@ def predict(
             prompt, choices, image=sample.image, hint=hint, normalization=normalization
         )
     except Exception as exc:
-        message = f"sample {sample.id!r}: {exc}"
-        try:
-            wrapped = type(exc)(message)
-        except Exception:
-            wrapped = RuntimeError(message)
-        raise wrapped from exc
+        # Name the sample on the exception itself so its type and attributes
+        # (e.g. TransportError.last_status) reach the caller intact.
+        exc.args = (f"sample {sample.id!r}: {exc}",)
+        raise
     return ClassifierOutput(
         sample_id=sample.id,
         dist=softmax(scores.scores),

@@ -50,6 +50,7 @@ from .evaluate import (
     compare_knowledge_types,
     compute_metrics,
     error_rate_by_entropy,
+    gold_labels,
     knowledge_rows_to_csv,
     sweep,
 )
@@ -421,12 +422,19 @@ def cmd_evaluate(config: RunConfig, predictions: str | None) -> Path:
     else:
         predictions_path = directory / "predictions.base.jsonl"
     _require_artifact(predictions_path, "predict or fuse")
-    golds = _golds(read_samples(samples_path))
+    samples = read_samples(samples_path)
+    golds = _golds(samples)
     records = _records_from_any(predictions_path, config.fusion.alpha)
-    missing = [r.sample_id for r in records if r.sample_id not in golds]
-    if missing:
-        raise DatasetError(f"samples without gold labels cannot be scored: {missing[:5]}")
-    report = compute_metrics([golds[r.sample_id] for r in records], [r.final_label for r in records])
+    gold_list = gold_labels([r.sample_id for r in records], golds)
+    report = compute_metrics(gold_list, [r.final_label for r in records])
+    scored = {r.sample_id for r in records}
+    unscored = [s.id for s in samples if s.id not in scored]
+    if unscored:
+        print(
+            f"scored {len(records)} of {len(samples)} samples; {len(unscored)} have no prediction "
+            f"(e.g. {unscored[:5]})",
+            file=sys.stderr,
+        )
     buckets_all = error_rate_by_entropy(records, golds, hard_only=False, alpha=config.fusion.alpha)
     buckets_hard = error_rate_by_entropy(records, golds, hard_only=True, alpha=config.fusion.alpha)
     stem = predictions_path.stem

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .classifier import ClassifierOutput
-from .datamodel import POLARITIES, Polarity, PolarityDistribution, PredictionRecord, argmax_label
-from .fusion import FusionConfig, delta, fuse_records
+from .datamodel import POLARITIES, DatasetError, Polarity, PolarityDistribution, PredictionRecord, argmax_label
+from .fusion import FusionConfig, fuse_records, is_hard
 
 MAX_ENTROPY_BITS = math.log2(3.0)
 
@@ -58,24 +58,36 @@ class MetricsReport:
         }
 
 
+def gold_labels(ids: Sequence[str], golds: Mapping[str, Polarity]) -> list[Polarity]:
+    """Gold labels for the ids, in order; raises DatasetError naming up to five ids without one."""
+    missing = [i for i in ids if i not in golds]
+    if missing:
+        more = "..." if len(missing) > 5 else ""
+        raise DatasetError(f"samples without gold labels cannot be scored: {missing[:5]}{more}")
+    return [golds[i] for i in ids]
+
+
 def compute_metrics(golds: Sequence[Polarity], preds: Sequence[Polarity]) -> MetricsReport:
     if len(golds) != len(preds):
         raise ValueError(f"gold/prediction length mismatch: {len(golds)} vs {len(preds)}")
     if not golds:
         raise ValueError("cannot compute metrics on empty input")
     n = len(golds)
-    matches = sum(1 for g, p in zip(golds, preds) if g is p)
+    # confusion[gold][predicted], filled in one pass over the labels.
+    confusion = [[0, 0, 0] for _ in POLARITIES]
+    for g, p in zip(golds, preds):
+        confusion[g.index][p.index] += 1
     per_class = []
-    for polarity in POLARITIES:
-        tp = sum(1 for g, p in zip(golds, preds) if g is polarity and p is polarity)
-        fp = sum(1 for g, p in zip(golds, preds) if g is not polarity and p is polarity)
-        fn = sum(1 for g, p in zip(golds, preds) if g is polarity and p is not polarity)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
+    for i in range(len(POLARITIES)):
+        tp = confusion[i][i]
+        support = sum(confusion[i])
+        predicted = sum(row[i] for row in confusion)
+        precision = tp / predicted if predicted else 0.0
+        recall = tp / support if support else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append(ClassMetrics(precision=precision, recall=recall, f1=f1, support=tp + fn))
+        per_class.append(ClassMetrics(precision=precision, recall=recall, f1=f1, support=support))
     return MetricsReport(
-        accuracy=matches / n,
+        accuracy=sum(confusion[i][i] for i in range(len(POLARITIES))) / n,
         macro_precision=sum(c.precision for c in per_class) / 3.0,
         macro_recall=sum(c.recall for c in per_class) / 3.0,
         macro_f1=sum(c.f1 for c in per_class) / 3.0,
@@ -151,11 +163,9 @@ def error_rate_by_entropy(
     counts = [0] * buckets
     errors = [0] * buckets
     analyzed = 0
-    for record in records:
-        gold = golds.get(record.sample_id)
-        if gold is None:
-            raise ValueError(f"sample {record.sample_id!r} has no gold label")
-        if hard_only and delta(record.base) > alpha:
+    gold_list = gold_labels([r.sample_id for r in records], golds)
+    for record, gold in zip(records, gold_list):
+        if hard_only and not is_hard(record.base, alpha):
             continue
         h = entropy(record.base)
         index = min(max(bisect_right(bin_edges, h) - 1, 0), buckets - 1)
@@ -220,13 +230,6 @@ class SweepResult:
         }
 
 
-def _golds_for(outputs: Sequence[ClassifierOutput], golds: Mapping[str, Polarity]) -> list[Polarity]:
-    missing = [o.sample_id for o in outputs if o.sample_id not in golds]
-    if missing:
-        raise ValueError(f"no gold label for ids: {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    return [golds[o.sample_id] for o in outputs]
-
-
 def sweep(
     base_outputs: Sequence[ClassifierOutput],
     ctx_outputs: Sequence[ClassifierOutput],
@@ -248,7 +251,7 @@ def sweep(
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     if not alpha_grid or not beta_grid:
         raise ValueError("alpha_grid and beta_grid must be non-empty")
-    gold_list = _golds_for(base_outputs, golds)
+    gold_list = gold_labels([o.sample_id for o in base_outputs], golds)
 
     def evaluate_point(alpha: float, beta: float) -> GridPoint:
         config = FusionConfig(alpha=alpha, beta=beta, strategy=strategy, cxmi_threshold=cxmi_threshold)
@@ -309,12 +312,7 @@ def compare_knowledge_types(
             raise ValueError(f"prediction set {name!r} covers different ids (e.g. {diff[:5]})")
 
     def row(name: str, records: Sequence[PredictionRecord]) -> KnowledgeTypeRow:
-        gold_list = []
-        for record in records:
-            gold = golds.get(record.sample_id)
-            if gold is None:
-                raise ValueError(f"sample {record.sample_id!r} has no gold label")
-            gold_list.append(gold)
+        gold_list = gold_labels([r.sample_id for r in records], golds)
         report = compute_metrics(gold_list, [r.final_label for r in records])
         return KnowledgeTypeRow(knowledge_type=name, accuracy=report.accuracy, macro_f1=report.macro_f1, n=report.n)
 

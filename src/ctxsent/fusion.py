@@ -9,7 +9,7 @@ to every sample unless explicitly composed with the gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .classifier import ClassifierOutput
@@ -92,12 +92,7 @@ def fuse_cf(
     p: PolarityDistribution, p_hat: PolarityDistribution, config: FusionConfig
 ) -> FusedResult:
     """Gated convex fusion: hard samples move toward p_hat by beta, others pass through."""
-    gap = delta(p)
-    hard = gap <= config.alpha
-    if not hard:
-        return FusedResult(fused=p, final_label=argmax_label(p), is_hard=False, delta=gap)
-    fused = _interpolate(p, p_hat, config.beta)
-    return FusedResult(fused=fused, final_label=argmax_label(fused), is_hard=True, delta=gap)
+    return apply_strategy(p, p_hat, replace(config, strategy="cf"))
 
 
 def fuse_average(p: PolarityDistribution, p_hat: PolarityDistribution) -> PolarityDistribution:
@@ -156,16 +151,25 @@ def fuse_cxmi(
 
 
 def apply_strategy(
-    p: PolarityDistribution, p_hat: PolarityDistribution, config: FusionConfig
+    p: PolarityDistribution, p_hat: PolarityDistribution | None, config: FusionConfig
 ) -> FusedResult:
-    """Dispatch one sample through the configured strategy."""
+    """Dispatch one sample through the hard gate and the configured strategy.
+
+    The gate always applies to cf and applies to the alternatives only with
+    gate_alternatives. A sample the gate leaves out passes through as
+    (p, argmax p) and needs no p_hat; a sample it lets in needs p_hat.
+    """
     gap = delta(p)
-    hard = gap <= config.alpha
-    if config.strategy == "cf":
-        return fuse_cf(p, p_hat, config)
-    if config.gate_alternatives and not hard:
+    hard = is_hard(p, config.alpha)
+    if not hard and (config.strategy == "cf" or config.gate_alternatives):
         return FusedResult(fused=p, final_label=argmax_label(p), is_hard=False, delta=gap)
-    if config.strategy == "average":
+    if p_hat is None:
+        raise ValueError(
+            f"strategy {config.strategy!r} needs a context-conditioned prediction but none was supplied"
+        )
+    if config.strategy == "cf":
+        fused = _interpolate(p, p_hat, config.beta)
+    elif config.strategy == "average":
         fused = fuse_average(p, p_hat)
     elif config.strategy == "max":
         fused = fuse_max(p, p_hat)
@@ -184,39 +188,23 @@ def fuse_pair(
     knowledge_type: str | None = None,
 ) -> PredictionRecord:
     """Fuse one sample's base and context-conditioned outputs into a record."""
-    gap = delta(base.dist)
-    hard = gap <= config.alpha
-    needs_context = config.strategy != "cf" or hard
-    if config.strategy != "cf" and config.gate_alternatives and not hard:
-        needs_context = False
-    if ctx is None:
-        if needs_context:
-            raise ValueError(
-                f"sample {base.sample_id!r}: strategy {config.strategy!r} needs a "
-                "context-conditioned prediction but none was supplied"
-            )
-        return PredictionRecord(
-            sample_id=base.sample_id,
-            base=base.dist,
-            with_context=None,
-            fused=base.dist,
-            delta=gap,
-            is_hard=hard,
-            final_label=argmax_label(base.dist),
-            strategy=config.strategy,
-            knowledge_type=knowledge_type,
-        )
-    result = apply_strategy(base.dist, ctx.dist, config)
+    with_context = ctx.dist if ctx is not None else None
+    try:
+        result = apply_strategy(base.dist, with_context, config)
+    except ValueError as exc:
+        raise ValueError(f"sample {base.sample_id!r}: {exc}") from None
+    if knowledge_type is None and ctx is not None:
+        knowledge_type = ctx.conditioned_on
     return PredictionRecord(
         sample_id=base.sample_id,
         base=base.dist,
-        with_context=ctx.dist,
+        with_context=with_context,
         fused=result.fused,
         delta=result.delta,
         is_hard=result.is_hard,
         final_label=result.final_label,
         strategy=config.strategy,
-        knowledge_type=knowledge_type if knowledge_type is not None else ctx.conditioned_on,
+        knowledge_type=knowledge_type,
     )
 
 
@@ -238,15 +226,14 @@ def base_records(base_outputs: Sequence[ClassifierOutput], alpha: float = 0.3) -
     """Wrap base-only outputs as records (strategy "base", no fusion)."""
     records = []
     for output in base_outputs:
-        gap = delta(output.dist)
         records.append(
             PredictionRecord(
                 sample_id=output.sample_id,
                 base=output.dist,
                 with_context=None,
                 fused=None,
-                delta=gap,
-                is_hard=gap <= alpha,
+                delta=delta(output.dist),
+                is_hard=is_hard(output.dist, alpha),
                 final_label=argmax_label(output.dist),
                 strategy="base",
                 knowledge_type=None,

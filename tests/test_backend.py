@@ -9,11 +9,14 @@ from ctxsent.backend import (
     CachingBackend,
     ChoiceScores,
     ConfigurationError,
+    MockBackend,
     MockOracleParams,
     RemoteBackend,
     ResponseCache,
     ScoreHint,
     TransportError,
+    backend_cache_key,
+    make_backend,
     scores_cache_key,
     text_cache_key,
 )
@@ -161,9 +164,31 @@ class TestCache:
         assert warm.score_choices(prompt, CHOICES, hint=hint) == cold_scores
         assert warm.generate(prompt) == cold_text
 
-    def test_key_includes_normalization(self):
-        assert scores_cache_key("m", "h", CHOICES, "total") != scores_cache_key("m", "h", CHOICES, "per-token")
-        assert text_cache_key("m", "h") != text_cache_key("m2", "h")
+    def test_key_covers_every_answer_input(self, tmp_path):
+        total = scores_cache_key("b", "h", None, CHOICES, "total")
+        assert total != scores_cache_key("b", "h", None, CHOICES, "per-token")
+        assert text_cache_key("b", "h", None) != text_cache_key("b2", "h", None)
+        # The same sentence with a different image.
+        assert text_cache_key("b", "h", "one.jpg") != text_cache_key("b", "h", "two.jpg")
+        assert scores_cache_key("b", "h", "one.jpg", CHOICES, "total") != scores_cache_key(
+            "b", "h", "two.jpg", CHOICES, "total"
+        )
+        config = BackendConfig(kind="mock", model_id="m")
+        sampled = BackendConfig(kind="mock", model_id="m", temperature=0.7)
+        assert backend_cache_key(MockBackend(config)) != backend_cache_key(MockBackend(sampled))
+        # A seed override against a shared cache file answers as the new seed.
+        path = tmp_path / "cache.jsonl"
+        hint = ScoreHint(sample_id="s")
+        seed3 = make_backend(config, seed=3, cache=ResponseCache(path)).score_choices(_prompt(), CHOICES, hint=hint)
+        seed4 = make_backend(config, seed=4, cache=ResponseCache(path)).score_choices(_prompt(), CHOICES, hint=hint)
+        assert seed4 == MockBackend(config, seed=4).score_choices(_prompt(), CHOICES, hint=hint)
+        assert seed4 != seed3
+        # Two mock samples with the same prompt and image each keep their own answer.
+        other = ScoreHint(sample_id="t", gold=Polarity.POSITIVE)
+        fresh = MockBackend(config, seed=3).score_choices(_prompt(), CHOICES, hint=other)
+        assert fresh != seed3
+        shared = make_backend(config, seed=3, cache=ResponseCache(path))
+        assert shared.score_choices(_prompt(), CHOICES, hint=other) == fresh
 
 
 def _remote_config(base_url, **kwargs):

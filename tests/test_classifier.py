@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_mock_backend, make_samples
-from ctxsent.backend import BackendConfig, RemoteBackend
+from ctxsent.backend import BackendConfig, RemoteBackend, TransportError
 from ctxsent.classifier import (
     ClassifierOutput,
     output_from_dict,
@@ -112,6 +112,23 @@ class TestPredict:
             sample = Sample(id="s1", split="test", sentence="hello")
             output = predict(sample, "sentence", backend)
         assert output.dist.probs == pytest.approx((0.6652, 0.2447, 0.0900), abs=5e-5)
+
+    def test_transport_error_keeps_status_and_names_sample(self, monkeypatch):
+        monkeypatch.setenv("CTXSENT_TEST_KEY", "k")
+        with StubServer(lambda body: (503, {"error": "busy"})) as server:
+            backend = RemoteBackend(
+                BackendConfig(
+                    kind="remote",
+                    model_id="m",
+                    base_url=server.base_url,
+                    api_key_env="CTXSENT_TEST_KEY",
+                    max_retries=0,
+                )
+            )
+            with pytest.raises(TransportError) as exc_info:
+                predict(Sample(id="s1", split="test", sentence="hello"), "sentence", backend)
+        assert exc_info.value.last_status == 503
+        assert "'s1'" in str(exc_info.value)
 
 
 class TestPredictBatch:

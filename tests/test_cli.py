@@ -104,6 +104,20 @@ class TestPipelineCommands:
         entropy_payload = json.loads((run_path / "entropy.predictions.historical.json").read_text())
         assert entropy_payload["hard"]["hard_only"] is True
 
+    def test_evaluate_reports_unscored_samples(self, tmp_path, capsys):
+        config_path = write_config(tmp_path / "config.json")
+        assert _run("pipeline", "--config", config_path) == 0
+        predictions = tmp_path / "out" / "run" / "predictions.base.jsonl"
+        lines = predictions.read_text().splitlines(keepends=True)
+        dropped = json.loads(lines[4])["sample_id"]
+        predictions.write_text("".join(lines[:4] + lines[5:]))
+        capsys.readouterr()
+        assert _run("evaluate", "--config", config_path) == 0
+        metrics = json.loads((tmp_path / "out" / "run" / "metrics.predictions.base.json").read_text())
+        assert metrics["n"] == 29
+        err = capsys.readouterr().err
+        assert f"scored 29 of 30 samples; 1 have no prediction (e.g. ['{dropped}'])" in err
+
     def test_manifest_contents(self, tmp_path):
         config_path = write_config(tmp_path / "config.json")
         assert _run("ingest", "--config", config_path) == 0

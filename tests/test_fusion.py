@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ctxsent.classifier import ClassifierOutput, softmax
 from ctxsent.datamodel import Polarity, PolarityDistribution, argmax_label
 from ctxsent.fusion import (
+    STRATEGIES,
     FusionConfig,
     apply_strategy,
     base_records,
@@ -279,3 +280,30 @@ class TestApplyStrategyAndRecords:
         assert records[0].strategy == "base"
         assert records[0].fused is None
         assert records[0].final_label is argmax_label(base.dist)
+
+
+@pytest.mark.parametrize("with_context", [True, False], ids=["ctx", "no-ctx"])
+@pytest.mark.parametrize("hard", [True, False], ids=["hard", "easy"])
+@pytest.mark.parametrize("gate_alternatives", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_gate_rule_table(strategy, gate_alternatives, hard, with_context):
+    """The gate always applies to cf and to the alternatives only with gate_alternatives."""
+    config = FusionConfig(alpha=0.3, strategy=strategy, gate_alternatives=gate_alternatives)
+    p = PolarityDistribution((0.4, 0.35, 0.25)) if hard else PolarityDistribution((0.9, 0.05, 0.05))
+    base = ClassifierOutput(sample_id="a", dist=p, raw=None)
+    ctx = None
+    if with_context:
+        ctx = ClassifierOutput(sample_id="a", dist=PolarityDistribution((0.1, 0.8, 0.1)), raw=None)
+    assert is_hard(p, config.alpha) == (delta(p) <= config.alpha) == hard
+    gate_open = hard or (strategy != "cf" and not gate_alternatives)
+    if gate_open and ctx is None:
+        with pytest.raises(ValueError, match="'a'.*needs a context-conditioned prediction"):
+            fuse_pair(base, ctx, config)
+        return
+    record = fuse_pair(base, ctx, config)
+    assert record.is_hard == hard
+    assert record.delta == delta(p)
+    assert record.with_context == (ctx.dist if ctx else None)
+    if not gate_open:
+        assert record.fused is p
+        assert record.final_label is argmax_label(p)
