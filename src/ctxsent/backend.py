@@ -13,10 +13,11 @@ import math
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -26,6 +27,9 @@ from .digest import derive_seed, stable_digest
 from .prompts import RenderedPrompt
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 KINDS = ("remote", "mock")
 
@@ -274,7 +278,9 @@ class RemoteBackend:
     read from the environment variable named by api_key_env. Scoring requests
     add an echo_choices array and expect choice_logprobs (plus
     choice_token_counts for per-token normalization) in the response.
-    In-flight requests are capped at concurrency_limit.
+    map_calls fans a batch out over concurrency_limit worker threads; the
+    semaphore caps in-flight requests at concurrency_limit for any caller,
+    including one that runs its own threads.
     """
 
     RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -384,11 +390,37 @@ class RemoteBackend:
 
 
 # ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+def map_calls(backend: Backend, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """Apply fn, which calls backend, to every item; results keep input order.
+
+    The dispatch follows backend.config.kind. An in-process mock runs in a
+    plain loop on the caller's thread. A remote backend fans out over one
+    pool of concurrency_limit workers; on the first failure in input order
+    the calls not yet started are cancelled and that exception is re-raised
+    unchanged, so e.g. TransportError.last_status survives.
+    """
+    if backend.config.kind != "remote":
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=backend.config.concurrency_limit) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+
+
+# ---------------------------------------------------------------------------
 # Response cache
 # ---------------------------------------------------------------------------
 
-# Bump when the key or the stored value changes meaning, so older entries miss.
-CACHE_SCHEMA = "2"
+# Bump when the key or the stored value changes meaning; lines written under
+# another schema are skipped on load.
+CACHE_SCHEMA = "3"
 
 
 def backend_cache_key(backend: Backend) -> str:
@@ -398,7 +430,7 @@ def backend_cache_key(backend: Backend) -> str:
     (seed included) for a mock.
     """
     params = json.dumps(asdict(backend.params), sort_keys=True) if isinstance(backend, MockBackend) else ""
-    return stable_digest(CACHE_SCHEMA, backend.config.model_id, repr(backend.config.temperature), params)
+    return stable_digest(backend.config.model_id, repr(backend.config.temperature), params)
 
 
 def text_cache_key(backend_key: str, prompt_hash: str, image: str | None) -> str:
@@ -419,58 +451,86 @@ def scores_cache_key(
 class ResponseCache:
     """Append-only JSONL cache of backend responses, keyed by content digest.
 
-    Lines are {key, kind, value, model_id, created_at}. Corrupt lines are
-    skipped with a warning. Duplicate keys resolve last-write-wins, which
-    compact() makes physical.
+    Lines are {schema, key, kind, value, model_id, created_at}. Loading
+    indexes only lines of the current CACHE_SCHEMA and skips corrupt lines
+    with a warning. Duplicate keys resolve last-write-wins, which compact()
+    makes physical.
+
+    put() appends each line with one unbuffered write to an O_APPEND
+    descriptor, so lines from concurrent writers, threads or processes, never
+    interleave. The descriptor opens on the first put, so a run that only
+    hits never touches the file, and stays open until close().
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, dict[str, Any]] = {}
         self._lock = threading.Lock()
+        self._fd: int | None = None
         self._load()
 
     def _load(self) -> None:
         if not self.path.exists():
             return
+        stale = 0
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
                     entry = json.loads(line)
+                    if entry.get("schema") != CACHE_SCHEMA:
+                        stale += 1
+                        continue
                     key = entry["key"]
                     if entry["kind"] not in ("text", "scores"):
                         raise ValueError(f"bad kind {entry['kind']!r}")
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
                     logger.warning("skipping corrupt cache line %s:%d (%s)", self.path, lineno, exc)
                     continue
                 self._entries[key] = entry
+        if stale:
+            logger.info("skipped %d cache lines of an older schema in %s", stale, self.path)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> dict[str, Any] | None:
+    def __enter__(self) -> "ResponseCache":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def close(self) -> None:
         with self._lock:
-            return self._entries.get(key)
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+
+    def get(self, key: str) -> dict[str, Any] | None:
+        return self._entries.get(key)
 
     def put(self, key: str, kind: str, value: Any, model_id: str) -> None:
         entry = {
+            "schema": CACHE_SCHEMA,
             "key": key,
             "kind": kind,
             "value": value,
             "model_id": model_id,
             "created_at": datetime.now(timezone.utc).isoformat(),
         }
+        line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
             self._entries[key] = entry
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, ensure_ascii=False))
-                fh.write("\n")
+            if self._fd is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            written = os.write(self._fd, line)
+        if written != len(line):
+            raise OSError(f"short write to {self.path}: {written} of {len(line)} bytes")
 
     def compact(self) -> None:
-        """Rewrite the file with one line per key (last write wins)."""
+        """Rewrite the file with one line per live key (last write wins)."""
         with self._lock:
             with open(self.path, "w", encoding="utf-8") as fh:
                 for entry in self._entries.values():

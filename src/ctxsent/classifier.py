@@ -8,12 +8,11 @@ temperature 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .backend import Backend, ChoiceScores, ScoreHint
+from .backend import Backend, ChoiceScores, ScoreHint, map_calls
 from .datamodel import (
     ContextRecord,
     PolarityDistribution,
@@ -121,37 +120,33 @@ def predict_batch(
     normalization: str = "total",
     instruction_template: str | None = None,
 ) -> BatchResult:
-    """Element-wise predict with bounded concurrency.
+    """Element-wise predict, dispatched by backend.map_calls.
 
-    Outputs keep input order; per-sample failures land in the manifest instead
-    of aborting the batch.
+    A mock runs sequentially on the caller's thread; a remote backend scores
+    up to concurrency_limit samples at once. Outputs keep input order;
+    per-sample failures land in the manifest instead of aborting the batch.
     """
-    if not samples:
-        return BatchResult(outputs=(), failures=())
-    workers = max(1, backend.config.concurrency_limit)
 
-    def run(sample: Sample) -> ClassifierOutput:
+    def run(sample: Sample) -> ClassifierOutput | BatchFailure:
         context = contexts.get(sample.id) if contexts else None
-        return predict(
-            sample,
-            level,
-            backend,
-            context=context,
-            image_token=image_token,
-            normalization=normalization,
-            instruction_template=instruction_template,
-        )
+        try:
+            return predict(
+                sample,
+                level,
+                backend,
+                context=context,
+                image_token=image_token,
+                normalization=normalization,
+                instruction_template=instruction_template,
+            )
+        except Exception as exc:
+            return BatchFailure(sample_id=sample.id, error=f"{type(exc).__name__}: {exc}")
 
-    outputs: list[ClassifierOutput] = []
-    failures: list[BatchFailure] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, sample) for sample in samples]
-        for sample, future in zip(samples, futures):
-            try:
-                outputs.append(future.result())
-            except Exception as exc:
-                failures.append(BatchFailure(sample_id=sample.id, error=f"{type(exc).__name__}: {exc}"))
-    return BatchResult(outputs=tuple(outputs), failures=tuple(failures))
+    results = map_calls(backend, run, samples)
+    return BatchResult(
+        outputs=tuple(r for r in results if isinstance(r, ClassifierOutput)),
+        failures=tuple(r for r in results if isinstance(r, BatchFailure)),
+    )
 
 
 # ---------------------------------------------------------------------------

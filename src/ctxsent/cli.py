@@ -10,6 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import platform
@@ -28,6 +29,7 @@ from .backend import (
     ResponseCache,
     TransportError,
     make_backend,
+    map_calls,
 )
 from .classifier import predict_batch, read_outputs, write_outputs
 from .datamodel import (
@@ -281,10 +283,6 @@ def _write_json(path: Path, payload: Any) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _cache(config: RunConfig) -> ResponseCache | None:
-    return ResponseCache(config.cache_path) if config.cache_path else None
-
-
 def _template_for(config: RunConfig, knowledge_type: str) -> PromptTemplate:
     if config.template_file:
         for template in load_template_file(config.template_file):
@@ -322,28 +320,27 @@ def cmd_ingest(config: RunConfig) -> Path:
     return out
 
 
-def cmd_generate_context(config: RunConfig, knowledge_type: str) -> Path:
+def cmd_generate_context(config: RunConfig, knowledge_type: str, cache: ResponseCache | None = None) -> Path:
     directory = run_dir(config)
     samples_path = _require_artifact(directory / "samples.jsonl", "ingest")
     samples = read_samples(samples_path)
     template = _template_for(config, knowledge_type)
-    backend = make_backend(config.generator_backend, seed=config.seed, cache=_cache(config))
+    backend = make_backend(config.generator_backend, seed=config.seed, cache=cache)
     deterministic = config.generator_backend.kind == "mock"
-    records = []
-    for sample in samples:
+
+    def generate(sample: Sample) -> ContextRecord:
         prompt = render_context_prompt(template, sample, image_token=config.image_token)
         text = backend.generate(prompt, image=sample.image)
-        created = _EPOCH if deterministic else datetime.now(timezone.utc).isoformat()
-        records.append(
-            ContextRecord(
-                sample_id=sample.id,
-                knowledge_type=knowledge_type,
-                model_id=config.generator_backend.model_id,
-                prompt_hash=prompt.hash,
-                text=text,
-                created_at=created,
-            )
+        return ContextRecord(
+            sample_id=sample.id,
+            knowledge_type=knowledge_type,
+            model_id=config.generator_backend.model_id,
+            prompt_hash=prompt.hash,
+            text=text,
+            created_at=_EPOCH if deterministic else datetime.now(timezone.utc).isoformat(),
         )
+
+    records = map_calls(backend, generate, samples)
     out = directory / f"contexts.{knowledge_type}.jsonl"
     write_contexts(out, records)
     _write_manifest(config, f"generate-context.{knowledge_type}", [samples_path], [out])
@@ -351,7 +348,7 @@ def cmd_generate_context(config: RunConfig, knowledge_type: str) -> Path:
     return out
 
 
-def cmd_predict(config: RunConfig, knowledge_type: str | None) -> Path:
+def cmd_predict(config: RunConfig, knowledge_type: str | None, cache: ResponseCache | None = None) -> Path:
     directory = run_dir(config)
     samples_path = _require_artifact(directory / "samples.jsonl", "ingest")
     samples = read_samples(samples_path)
@@ -361,7 +358,7 @@ def cmd_predict(config: RunConfig, knowledge_type: str | None) -> Path:
         contexts_path = _require_artifact(directory / f"contexts.{knowledge_type}.jsonl", "generate-context")
         contexts = {r.sample_id: r for r in read_contexts(contexts_path)}
         inputs.append(contexts_path)
-    backend = make_backend(config.classifier_backend, seed=config.seed, cache=_cache(config))
+    backend = make_backend(config.classifier_backend, seed=config.seed, cache=cache)
     result = predict_batch(
         samples,
         config.level,
@@ -466,10 +463,9 @@ def cmd_sweep(config: RunConfig, knowledge_type: str) -> Path:
         golds,
         alpha_grid=config.sweep.alpha_grid,
         beta_grid=config.sweep.beta_grid,
-        strategy=config.fusion.strategy,
+        fusion=config.fusion,
         mode=config.sweep.mode,
         fixed_alpha=config.sweep.fixed_alpha,
-        cxmi_threshold=config.fusion.cxmi_threshold,
     )
     out = directory / f"sweep.{knowledge_type}.json"
     _write_json(out, result.to_dict())
@@ -541,13 +537,13 @@ def cmd_judge_prompt(sentence: str, context1: str, context2: str, out: str | Non
         print(prompt.text)
 
 
-def cmd_pipeline(config: RunConfig) -> None:
+def cmd_pipeline(config: RunConfig, cache: ResponseCache | None = None) -> None:
     cmd_ingest(config)
-    cmd_predict(config, None)
+    cmd_predict(config, None, cache)
     cmd_evaluate(config, "predictions.base.jsonl")
     for knowledge_type in config.knowledge_types:
-        cmd_generate_context(config, knowledge_type)
-        cmd_predict(config, knowledge_type)
+        cmd_generate_context(config, knowledge_type, cache)
+        cmd_predict(config, knowledge_type, cache)
         fused = cmd_fuse(config, knowledge_type)
         cmd_evaluate(config, fused.name)
     if len(config.knowledge_types) > 1:
@@ -624,30 +620,33 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         config = load_config(args.config, _overrides(args))
         active_types = (args.knowledge_type,) if args.knowledge_type else config.knowledge_types
-        if args.command == "ingest":
-            cmd_ingest(config)
-        elif args.command == "generate-context":
-            for knowledge_type in active_types:
-                cmd_generate_context(config, knowledge_type)
-        elif args.command == "predict":
-            cmd_predict(config, None)
-            if not args.base_only:
+        # One cache per invocation, opened only by the commands that call a backend.
+        opens_cache = config.cache_path and args.command in ("generate-context", "predict", "pipeline")
+        with ResponseCache(config.cache_path) if opens_cache else contextlib.nullcontext() as cache:
+            if args.command == "ingest":
+                cmd_ingest(config)
+            elif args.command == "generate-context":
                 for knowledge_type in active_types:
-                    cmd_predict(config, knowledge_type)
-        elif args.command == "fuse":
-            for knowledge_type in active_types:
-                cmd_fuse(config, knowledge_type)
-        elif args.command == "evaluate":
-            cmd_evaluate(config, args.predictions)
-        elif args.command == "sweep":
-            for knowledge_type in active_types:
-                cmd_sweep(config, knowledge_type)
-        elif args.command == "compare-types":
-            cmd_compare_types(config)
-        elif args.command == "analyze-saliency":
-            cmd_analyze_saliency(config, args.dump)
-        elif args.command == "pipeline":
-            cmd_pipeline(config)
+                    cmd_generate_context(config, knowledge_type, cache)
+            elif args.command == "predict":
+                cmd_predict(config, None, cache)
+                if not args.base_only:
+                    for knowledge_type in active_types:
+                        cmd_predict(config, knowledge_type, cache)
+            elif args.command == "fuse":
+                for knowledge_type in active_types:
+                    cmd_fuse(config, knowledge_type)
+            elif args.command == "evaluate":
+                cmd_evaluate(config, args.predictions)
+            elif args.command == "sweep":
+                for knowledge_type in active_types:
+                    cmd_sweep(config, knowledge_type)
+            elif args.command == "compare-types":
+                cmd_compare_types(config)
+            elif args.command == "analyze-saliency":
+                cmd_analyze_saliency(config, args.dump)
+            elif args.command == "pipeline":
+                cmd_pipeline(config, cache)
         return 0
     except _USER_ERRORS as exc:
         report = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .classifier import ClassifierOutput
@@ -236,16 +236,17 @@ def sweep(
     golds: Mapping[str, Polarity],
     alpha_grid: Sequence[float],
     beta_grid: Sequence[float],
-    strategy: str = "cf",
+    fusion: FusionConfig = FusionConfig(),
     mode: str = "two-phase",
     fixed_alpha: float = 0.3,
-    cxmi_threshold: float = 1.1,
 ) -> SweepResult:
     """Grid-search fusion hyperparameters on a dev set.
 
-    two-phase first sweeps beta at the fixed alpha, then sweeps alpha at the
-    best beta; full-grid evaluates the product grid. Selection is the argmax
-    over all evaluated points with the documented tie-breaking.
+    Each point fuses with the run's fusion config, alpha and beta replaced,
+    so strategy, cxmi_threshold and gate_alternatives are the ones fuse
+    applies. two-phase first sweeps beta at the fixed alpha, then sweeps
+    alpha at the best beta; full-grid evaluates the product grid. Selection
+    is the argmax over all evaluated points with the documented tie-breaking.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
@@ -254,8 +255,7 @@ def sweep(
     gold_list = gold_labels([o.sample_id for o in base_outputs], golds)
 
     def evaluate_point(alpha: float, beta: float) -> GridPoint:
-        config = FusionConfig(alpha=alpha, beta=beta, strategy=strategy, cxmi_threshold=cxmi_threshold)
-        records = fuse_records(base_outputs, ctx_outputs, config)
+        records = fuse_records(base_outputs, ctx_outputs, replace(fusion, alpha=alpha, beta=beta))
         report = compute_metrics(gold_list, [r.final_label for r in records])
         return GridPoint(alpha=alpha, beta=beta, macro_f1=report.macro_f1)
 

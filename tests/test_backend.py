@@ -1,8 +1,11 @@
 import json
+import multiprocessing
+import sys
+import threading
 
 import pytest
 
-from conftest import make_mock_backend
+from conftest import make_mock_backend, make_samples
 from ctxsent.backend import (
     BackendConfig,
     CapabilityError,
@@ -17,9 +20,11 @@ from ctxsent.backend import (
     TransportError,
     backend_cache_key,
     make_backend,
+    map_calls,
     scores_cache_key,
     text_cache_key,
 )
+from ctxsent.classifier import predict_batch
 from ctxsent.datamodel import Polarity
 from ctxsent.prompts import get_template, render_context_prompt
 from ctxsent.datamodel import Sample
@@ -152,6 +157,60 @@ class TestCache:
         assert reloaded.get("k1")["value"] == "hello"
         assert len(reloaded) == 1
 
+    def test_older_schema_lines_are_not_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        old = {"key": "k0", "kind": "text", "value": "dead", "model_id": "m", "created_at": "2020-01-01"}
+        path.write_text(json.dumps(old) + "\n" + json.dumps({**old, "schema": "2", "key": "k1"}) + "\n")
+        with ResponseCache(path) as cache:
+            cache.put("k2", "text", "live", "m")
+            cache.put("k3", "text", "live", "m")
+        reloaded = ResponseCache(path)
+        assert len(reloaded) == 2
+        assert reloaded.get("k0") is None and reloaded.get("k1") is None
+        reloaded.compact()
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [l["key"] for l in lines] == ["k2", "k3"]
+
+    def test_pure_hit_run_leaves_file_untouched(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with ResponseCache(path) as cache:
+            cache.put("k1", "text", "hello", "m")
+        before = path.stat()
+        with ResponseCache(path) as cache:
+            assert cache.get("k1")["value"] == "hello"
+        assert (path.stat().st_mtime_ns, path.stat().st_size) == (before.st_mtime_ns, before.st_size)
+        ResponseCache(tmp_path / "absent.jsonl").close()
+        assert not (tmp_path / "absent.jsonl").exists()
+
+    def test_two_processes_append_whole_lines(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        context = multiprocessing.get_context("spawn")
+        workers = [context.Process(target=_put_many, args=(path, tag)) for tag in ("a", "b")]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert worker.exitcode == 0
+        _assert_whole_lines(path, ("a", "b"), 500)
+
+    def test_threads_append_whole_lines(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        tags = [f"t{n}-" for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ResponseCache(path) as cache:
+                threads = [threading.Thread(target=_fill, args=(cache, tag, 200)) for tag in tags]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert len(cache) == 8 * 200
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_whole_lines(path, tags, 200)
+
     def test_caching_backend_transparent(self, tmp_path):
         prompt = _prompt()
         inner = make_mock_backend(seed=9)
@@ -189,6 +248,83 @@ class TestCache:
         assert fresh != seed3
         shared = make_backend(config, seed=3, cache=ResponseCache(path))
         assert shared.score_choices(_prompt(), CHOICES, hint=other) == fresh
+
+
+def _fill(cache, tag, n):
+    for i in range(n):
+        cache.put(f"{tag}{i}", "text", "x" * 300, "m")
+
+
+def _put_many(path, tag):
+    with ResponseCache(path) as cache:
+        _fill(cache, tag, 500)
+
+
+def _assert_whole_lines(path, tags, n):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(tags) * n
+    assert all(json.loads(line)["value"] == "x" * 300 for line in lines)
+    cache = ResponseCache(path)
+    assert len(cache) == len(tags) * n
+    assert all(cache.get(f"{tag}{i}") is not None for tag in tags for i in range(n))
+
+
+class _ThreadRecorder:
+    """Backend wrapper that notes the thread of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = set()
+
+    @property
+    def config(self):
+        return self.inner.config
+
+    def generate(self, prompt, image=None):
+        self.threads.add(threading.get_ident())
+        return self.inner.generate(prompt, image=image)
+
+    def score_choices(self, *args, **kwargs):
+        self.threads.add(threading.get_ident())
+        return self.inner.score_choices(*args, **kwargs)
+
+
+class TestMapCalls:
+    def test_mock_calls_run_on_the_callers_thread(self, tmp_path):
+        # CachingBackend forwards the inner config, so a cached mock dispatches as a mock.
+        with ResponseCache(tmp_path / "cache.jsonl") as cache:
+            backend = _ThreadRecorder(CachingBackend(make_mock_backend(seed=3), cache))
+            result = predict_batch(make_samples(12), "sentence", backend)
+            texts = map_calls(backend, lambda s: backend.generate(_prompt(s.sentence)), make_samples(5))
+        assert (len(result.outputs), len(texts)) == (12, 5)
+        assert backend.threads == {threading.get_ident()}
+
+    def test_remote_keeps_order_and_cap(self):
+        def echo(body):
+            return 200, {"choices": [{"message": {"content": body["messages"][0]["content"][0]["text"]}}]}
+
+        prompts = [_prompt(f"sentence {i:02d}") for i in range(20)]
+        with StubServer(echo, delay=0.02) as server:
+            backend = RemoteBackend(_remote_config(server.base_url, concurrency_limit=3))
+            texts = map_calls(backend, backend.generate, prompts)
+        assert texts == [p.text for p in prompts]
+        assert 1 < server.max_concurrent <= 3
+
+    def test_remote_first_failure_in_input_order_reraised_unchanged(self):
+        def fail_some(body):
+            text = body["messages"][0]["content"][0]["text"]
+            if "bad-404" in text:
+                return 404, {"error": "gone"}
+            if "bad-503" in text:
+                return 503, {"error": "busy"}
+            return 200, {"choices": [{"message": {"content": "ok"}}]}
+
+        names = ["ok", "bad-503", "ok", "bad-404"] + ["ok"] * 20
+        with StubServer(fail_some) as server:
+            backend = RemoteBackend(_remote_config(server.base_url, max_retries=0, concurrency_limit=2))
+            with pytest.raises(TransportError) as exc_info:
+                map_calls(backend, lambda name: backend.generate(_prompt(name)), names)
+        assert exc_info.value.last_status == 503
 
 
 def _remote_config(base_url, **kwargs):

@@ -174,7 +174,7 @@ class TestPredictBatch:
         assert result.failures[0].sample_id == "bad"
         assert "bad" in result.failures[0].error
 
-    def test_batch_deterministic_under_threads(self):
+    def test_batch_deterministic_across_backend_instances(self):
         samples = make_samples(12)
         first = predict_batch(samples, "sentence", make_mock_backend(seed=3))
         second = predict_batch(samples, "sentence", make_mock_backend(seed=3))

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import write_config
-from ctxsent.cli import load_config, main
-from ctxsent.datamodel import read_predictions
+from ctxsent.backend import ResponseCache, TransportError
+from ctxsent.cli import cmd_generate_context, load_config, main
 from ctxsent.classifier import read_outputs
+from ctxsent.datamodel import read_predictions, read_samples
+from ctxsent.evaluate import compute_metrics
+from ctxsent.fusion import FusionConfig, fuse_records
+from stubserver import StubServer
 
 
 def _run(*argv):
@@ -94,6 +98,31 @@ class TestPipelineCommands:
         betas_at_fixed = [g["beta"] for g in payload["grid"] if g["alpha"] == 0.3]
         assert set(betas_at_fixed) >= {0.0, 0.45, 0.9}
 
+    def test_sweep_fuses_with_the_run_config(self, tmp_path):
+        # gate_alternatives changes what `fuse` does with `average`, so the
+        # sweep must score each point with it too.
+        fusion = {"alpha": 0.3, "beta": 0.5, "strategy": "average", "gate_alternatives": True}
+        config_path = write_config(
+            tmp_path / "config.json",
+            seed=3,
+            fusion=fusion,
+            sweep={"alpha_grid": [0.1, 0.3], "beta_grid": [0.5], "mode": "full-grid"},
+        )
+        for command in ("ingest", "generate-context", "predict", "sweep"):
+            assert _run(command, "--config", config_path) == 0
+        run_path = tmp_path / "out" / "run"
+        base = read_outputs(run_path / "predictions.base.jsonl")
+        ctx = read_outputs(run_path / "predictions.historical.jsonl")
+        golds = {s.id: s.gold for s in read_samples(run_path / "samples.jsonl")}
+        grid = json.loads((run_path / "sweep.historical.json").read_text())["grid"]
+        assert [g["alpha"] for g in grid] == [0.1, 0.3]
+        for point in grid:
+            config = FusionConfig(alpha=point["alpha"], beta=0.5, strategy="average", gate_alternatives=True)
+            records = fuse_records(base, ctx, config)
+            report = compute_metrics([golds[r.sample_id] for r in records], [r.final_label for r in records])
+            assert point["macro_f1"] == report.macro_f1
+        assert grid[0]["macro_f1"] != grid[1]["macro_f1"]
+
     def test_evaluate_accepts_fused_and_raw(self, tmp_path):
         config_path = write_config(tmp_path / "config.json")
         assert _run("pipeline", "--config", config_path) == 0
@@ -154,6 +183,84 @@ class TestDeterminism:
         assert _run("evaluate", "--config", config_path, "--predictions", "fused.cf.historical.jsonl") == 0
         after = _artifacts(run_path)
         assert before == after
+
+
+def _remote_generator(url, **kwargs):
+    return {"kind": "remote", "model_id": "stub", "base_url": url, "api_key_env": "CTXSENT_TEST_KEY", **kwargs}
+
+
+class TestRemoteGeneration:
+    def test_contexts_keep_input_order_within_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CTXSENT_TEST_KEY", "k")
+
+        def echo(body):
+            return 200, {"choices": [{"message": {"content": body["messages"][0]["content"][0]["text"]}}]}
+
+        with StubServer(echo, delay=0.02) as server:
+            config_path = write_config(
+                tmp_path / "config.json", generator_backend=_remote_generator(server.base_url, concurrency_limit=3)
+            )
+            assert _run("ingest", "--config", config_path) == 0
+            assert _run("generate-context", "--config", config_path) == 0
+        run_path = tmp_path / "out" / "run"
+        samples = read_samples(run_path / "samples.jsonl")
+        contexts = [json.loads(line) for line in (run_path / "contexts.historical.jsonl").read_text().splitlines()]
+        assert [c["sample_id"] for c in contexts] == [s.id for s in samples]
+        assert all(s.sentence in c["text"] for s, c in zip(samples, contexts))
+        assert 1 < server.max_concurrent <= 3
+
+    def test_failure_exits_1_and_keeps_status(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CTXSENT_TEST_KEY", "k")
+        with StubServer(lambda body: (503, {"error": "busy"})) as server:
+            config_path = write_config(
+                tmp_path / "config.json", generator_backend=_remote_generator(server.base_url, max_retries=0)
+            )
+            assert _run("ingest", "--config", config_path) == 0
+            assert _run("generate-context", "--config", config_path) == 1
+            with pytest.raises(TransportError) as exc_info:
+                cmd_generate_context(load_config(config_path), "historical")
+        assert exc_info.value.last_status == 503
+
+
+class TestCacheScope:
+    def test_one_cache_per_pipeline(self, tmp_path, monkeypatch):
+        built = []
+        original = ResponseCache.__init__
+
+        def counting_init(self, path):
+            built.append(path)
+            original(self, path)
+
+        monkeypatch.setattr(ResponseCache, "__init__", counting_init)
+        cache_path = tmp_path / "cache.jsonl"
+        config_path = write_config(
+            tmp_path / "config.json", cache_path=str(cache_path), knowledge_types=["historical", "cultural"]
+        )
+        assert _run("pipeline", "--config", config_path) == 0
+        assert built == [str(cache_path)]
+        assert _run("evaluate", "--config", config_path) == 0
+        assert len(built) == 1
+
+    def test_truncated_cache_stays_cold_within_one_process(self, tmp_path, monkeypatch):
+        lookups = []
+        original = ResponseCache.get
+
+        def counting_get(self, key):
+            entry = original(self, key)
+            lookups.append(entry is not None)
+            return entry
+
+        monkeypatch.setattr(ResponseCache, "get", counting_get)
+        cache_path = tmp_path / "cache.jsonl"
+        config_path = write_config(tmp_path / "config.json", cache_path=str(cache_path))
+        assert _run("pipeline", "--config", config_path) == 0
+        first = len(lookups)
+        cache_path.write_bytes(b"")
+        assert _run("pipeline", "--config", config_path) == 0
+        second = lookups[first:]
+        assert len(second) == first == 90
+        assert not any(second)
+        assert len(cache_path.read_text().splitlines()) == 90
 
 
 class TestJudgeAndSaliencyCommands:
