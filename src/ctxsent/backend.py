@@ -278,9 +278,9 @@ class RemoteBackend:
     read from the environment variable named by api_key_env. Scoring requests
     add an echo_choices array and expect choice_logprobs (plus
     choice_token_counts for per-token normalization) in the response.
-    map_calls fans a batch out over concurrency_limit worker threads; the
-    semaphore caps in-flight requests at concurrency_limit for any caller,
-    including one that runs its own threads.
+    map_calls fans a batch out over concurrency_limit worker threads, which
+    is the only cap on in-flight requests: a direct caller that runs its own
+    threads gets no cap.
     """
 
     RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -290,7 +290,6 @@ class RemoteBackend:
             raise ConfigurationError(f"RemoteBackend requires kind=remote, got {config.kind!r}")
         self.config = config
         self._session = requests.Session()
-        self._semaphore = threading.BoundedSemaphore(config.concurrency_limit)
 
     def _api_key(self) -> str:
         env = self.config.api_key_env
@@ -311,10 +310,7 @@ class RemoteBackend:
             if attempt:
                 time.sleep(min(0.05 * 2**attempt, 2.0))
             try:
-                with self._semaphore:
-                    response = self._session.post(
-                        url, json=payload, headers=headers, timeout=self.config.timeout
-                    )
+                response = self._session.post(url, json=payload, headers=headers, timeout=self.config.timeout)
             except requests.RequestException as exc:
                 last_error = f"transport failure: {exc}"
                 continue

@@ -1,10 +1,11 @@
 """Command-line pipeline driven by a single run-config JSON file.
 
-Stages write JSONL artifacts under out/<run-id>/ and consume the previous
-stage's files: samples -> contexts -> predictions -> fused records -> reports.
-Every stage writes a manifest with the config hash and input digests. With the
-mock backend and a fixed seed, rerunning a stage reproduces its artifacts
-byte for byte.
+Stages write JSONL artifacts under out/<run-id>/: samples -> contexts ->
+predictions -> fused records -> reports. `pipeline` hands each stage's values
+to the next in memory; a single-stage command reads what earlier commands
+wrote. Every stage writes a manifest with the config hash and input digests.
+With the mock backend and a fixed seed, rerunning a stage reproduces its
+artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar, get_type_hints
 
 from . import __version__
 from .backend import (
@@ -31,11 +32,12 @@ from .backend import (
     make_backend,
     map_calls,
 )
-from .classifier import predict_batch, read_outputs, write_outputs
+from .classifier import ClassifierOutput, predict_batch, read_outputs, write_outputs
 from .datamodel import (
     ContextRecord,
     DatasetError,
     Polarity,
+    PredictionRecord,
     Sample,
     SchemaError,
     ingest_dataset,
@@ -68,6 +70,9 @@ from .prompts import (
 from .saliency import SaliencyError, load_dump, s_scores, scores_to_csv
 
 _EPOCH = "1970-01-01T00:00:00+00:00"
+
+T = TypeVar("T")
+Outputs = Sequence[ClassifierOutput]
 
 _USER_ERRORS = (
     ConfigurationError,
@@ -120,101 +125,59 @@ class RunConfig:
     config_hash: str = ""
 
 
-def _require_keys(section: Mapping[str, Any], allowed: Sequence[str], where: str) -> None:
-    unknown = set(section) - set(allowed)
+def _as_given(value: Any) -> Any:
+    return value
+
+
+# Config values converted by their field's annotation; any other field takes its value as given.
+_COERCIONS: dict[Any, Callable[[Any], Any]] = {
+    float: float,
+    int: int,
+    bool: bool,
+    tuple[float, ...]: lambda values: tuple(float(v) for v in values),
+}
+
+
+def _section(cls: type[T], section: Mapping[str, Any], where: str, coerce: bool = True, **derived: Any) -> T:
+    """Build the dataclass cls from one config section.
+
+    The section's keys are cls's fields less the derived ones, which the
+    caller computes, so each setting is named once, in its dataclass. An
+    absent key keeps the field's default. With coerce, a value whose field is
+    a float, int, bool or float tuple is converted to that type.
+    """
+    unknown = set(section) - {f.name for f in fields(cls) if f.name not in derived}
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls) if coerce else {}
+    values = {key: _COERCIONS.get(hints.get(key), _as_given)(value) for key, value in section.items()}
+    return cls(**values, **derived)
 
 
-def _parse_backend(raw: Mapping[str, Any] | None, default_model: str) -> BackendConfig:
-    if raw is None:
-        return BackendConfig(kind="mock", model_id=default_model)
-    _require_keys(
-        raw,
-        (
-            "kind", "model_id", "base_url", "api_key_env", "temperature",
-            "timeout", "max_retries", "concurrency_limit", "mock",
-        ),
-        "backend",
-    )
-    mock_raw = raw.get("mock")
-    mock = None
-    if mock_raw is not None:
-        _require_keys(
-            mock_raw,
-            ("seed", "base_accuracy", "hard_context_accuracy", "hard_fraction", "hard_penalty", "easy_context_accuracy"),
-            "backend.mock",
-        )
-        mock = MockOracleParams(**mock_raw)
-    return BackendConfig(
-        kind=raw.get("kind", "mock"),
-        model_id=raw.get("model_id", default_model),
-        base_url=raw.get("base_url"),
-        api_key_env=raw.get("api_key_env"),
-        temperature=float(raw.get("temperature", 0.0)),
-        timeout=float(raw.get("timeout", 30.0)),
-        max_retries=int(raw.get("max_retries", 2)),
-        concurrency_limit=int(raw.get("concurrency_limit", 4)),
-        mock=mock,
-    )
+def _backend(raw: Mapping[str, Any] | None, default_model: str) -> BackendConfig:
+    section = {"kind": "mock", "model_id": default_model, **(raw or {})}
+    if section.get("mock") is not None:
+        # Mock values pass through as written: backend_cache_key covers them.
+        section["mock"] = _section(MockOracleParams, section["mock"], "backend.mock", coerce=False)
+    return _section(BackendConfig, section, "backend")
 
 
 def build_config(raw: Mapping[str, Any]) -> RunConfig:
-    _require_keys(
-        raw,
-        (
-            "dataset", "level", "generator_backend", "classifier_backend", "knowledge_types",
-            "fusion", "sweep", "out_dir", "run_id", "seed", "image_token", "cache_path",
-            "score_normalization", "template_file", "instruction_template_file",
-        ),
-        "config",
-    )
-    dataset_raw = raw.get("dataset")
-    if not dataset_raw or "path" not in dataset_raw:
+    dataset = raw.get("dataset")
+    if not dataset or "path" not in dataset:
         raise ConfigurationError("config requires dataset.path")
-    _require_keys(dataset_raw, ("path", "adapter", "column_map", "split"), "dataset")
-    fusion_raw = raw.get("fusion") or {}
-    _require_keys(fusion_raw, ("alpha", "beta", "strategy", "cxmi_threshold", "gate_alternatives"), "fusion")
-    sweep_raw = raw.get("sweep") or {}
-    _require_keys(sweep_raw, ("alpha_grid", "beta_grid", "mode", "fixed_alpha"), "sweep")
-    knowledge_types = tuple(raw.get("knowledge_types") or ("historical",))
     # The hash identifies the computation, so placement-only keys stay out of it.
     hashed = {k: v for k, v in raw.items() if k not in ("out_dir", "run_id")}
+    sections = {
+        "dataset": _section(DatasetSpec, dataset, "dataset"),
+        "generator_backend": _backend(raw.get("generator_backend"), "mock-generator"),
+        "classifier_backend": _backend(raw.get("classifier_backend"), "mock-classifier"),
+        "fusion": _section(FusionConfig, raw.get("fusion") or {}, "fusion"),
+        "sweep": _section(SweepSpec, raw.get("sweep") or {}, "sweep"),
+        "knowledge_types": tuple(raw.get("knowledge_types") or RunConfig.knowledge_types),
+    }
     config_hash = stable_digest(json.dumps(hashed, sort_keys=True))
-    return RunConfig(
-        dataset=DatasetSpec(
-            path=dataset_raw["path"],
-            adapter=dataset_raw.get("adapter", "canonical-jsonl"),
-            column_map=dataset_raw.get("column_map"),
-            split=dataset_raw.get("split", "test"),
-        ),
-        level=raw.get("level", "sentence"),
-        generator_backend=_parse_backend(raw.get("generator_backend"), "mock-generator"),
-        classifier_backend=_parse_backend(raw.get("classifier_backend"), "mock-classifier"),
-        knowledge_types=knowledge_types,
-        fusion=FusionConfig(
-            alpha=float(fusion_raw.get("alpha", 0.3)),
-            beta=float(fusion_raw.get("beta", 0.45)),
-            strategy=fusion_raw.get("strategy", "cf"),
-            cxmi_threshold=float(fusion_raw.get("cxmi_threshold", 1.1)),
-            gate_alternatives=bool(fusion_raw.get("gate_alternatives", False)),
-        ),
-        sweep=SweepSpec(
-            alpha_grid=tuple(float(a) for a in sweep_raw.get("alpha_grid", SweepSpec.alpha_grid)),
-            beta_grid=tuple(float(b) for b in sweep_raw.get("beta_grid", SweepSpec.beta_grid)),
-            mode=sweep_raw.get("mode", "two-phase"),
-            fixed_alpha=float(sweep_raw.get("fixed_alpha", 0.3)),
-        ),
-        out_dir=raw.get("out_dir", "out"),
-        run_id=raw.get("run_id"),
-        seed=int(raw.get("seed", 0)),
-        image_token=raw.get("image_token", "<image>"),
-        cache_path=raw.get("cache_path"),
-        score_normalization=raw.get("score_normalization", "total"),
-        template_file=raw.get("template_file"),
-        instruction_template_file=raw.get("instruction_template_file"),
-        config_hash=config_hash,
-    )
+    return _section(RunConfig, {**raw, **sections}, "config", config_hash=config_hash)
 
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> RunConfig:
@@ -275,8 +238,7 @@ def _write_manifest(config: RunConfig, command: str, inputs: Sequence[Path], out
         "outputs": [p.name for p in outputs],
         "versions": {"ctxsent": __version__, "python": platform.python_version()},
     }
-    path = directory / f"manifest.{command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(directory / f"manifest.{command}.json", manifest)
 
 
 def _write_json(path: Path, payload: Any) -> None:
@@ -302,10 +264,10 @@ def _golds(samples: Sequence[Sample]) -> dict[str, Polarity]:
 
 
 # ---------------------------------------------------------------------------
-# Stage commands
+# Stage commands: each takes its inputs as values and returns what it wrote
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(config: RunConfig) -> Path:
+def cmd_ingest(config: RunConfig) -> list[Sample]:
     samples = ingest_dataset(
         config.dataset.path,
         config.dataset.adapter,
@@ -317,13 +279,13 @@ def cmd_ingest(config: RunConfig) -> Path:
     write_samples(out, samples)
     _write_manifest(config, "ingest", [Path(config.dataset.path)], [out])
     print(f"wrote {out} ({len(samples)} samples)")
-    return out
+    return samples
 
 
-def cmd_generate_context(config: RunConfig, knowledge_type: str, cache: ResponseCache | None = None) -> Path:
+def cmd_generate_context(
+    config: RunConfig, samples: Sequence[Sample], knowledge_type: str, cache: ResponseCache | None = None
+) -> list[ContextRecord]:
     directory = run_dir(config)
-    samples_path = _require_artifact(directory / "samples.jsonl", "ingest")
-    samples = read_samples(samples_path)
     template = _template_for(config, knowledge_type)
     backend = make_backend(config.generator_backend, seed=config.seed, cache=cache)
     deterministic = config.generator_backend.kind == "mock"
@@ -343,27 +305,29 @@ def cmd_generate_context(config: RunConfig, knowledge_type: str, cache: Response
     records = map_calls(backend, generate, samples)
     out = directory / f"contexts.{knowledge_type}.jsonl"
     write_contexts(out, records)
-    _write_manifest(config, f"generate-context.{knowledge_type}", [samples_path], [out])
+    _write_manifest(config, f"generate-context.{knowledge_type}", [directory / "samples.jsonl"], [out])
     print(f"wrote {out} ({len(records)} contexts)")
-    return out
+    return records
 
 
-def cmd_predict(config: RunConfig, knowledge_type: str | None, cache: ResponseCache | None = None) -> Path:
+def cmd_predict(
+    config: RunConfig,
+    samples: Sequence[Sample],
+    knowledge_type: str | None = None,
+    contexts: Sequence[ContextRecord] | None = None,
+    cache: ResponseCache | None = None,
+) -> tuple[ClassifierOutput, ...]:
+    """Base predictions without a knowledge type, else predictions conditioned on its contexts."""
     directory = run_dir(config)
-    samples_path = _require_artifact(directory / "samples.jsonl", "ingest")
-    samples = read_samples(samples_path)
-    inputs = [samples_path]
-    contexts = None
+    inputs = [directory / "samples.jsonl"]
     if knowledge_type is not None:
-        contexts_path = _require_artifact(directory / f"contexts.{knowledge_type}.jsonl", "generate-context")
-        contexts = {r.sample_id: r for r in read_contexts(contexts_path)}
-        inputs.append(contexts_path)
+        inputs.append(directory / f"contexts.{knowledge_type}.jsonl")
     backend = make_backend(config.classifier_backend, seed=config.seed, cache=cache)
     result = predict_batch(
         samples,
         config.level,
         backend,
-        contexts=contexts,
+        contexts={r.sample_id: r for r in contexts} if contexts is not None else None,
         image_token=config.image_token,
         normalization=config.score_normalization,
         instruction_template=_instruction_template(config),
@@ -381,24 +345,25 @@ def cmd_predict(config: RunConfig, knowledge_type: str | None, cache: ResponseCa
     print(f"wrote {out} ({len(result.outputs)} predictions)")
     if not result.outputs:
         raise TransportError("all samples failed prediction")
-    return out
+    return result.outputs
 
 
-def cmd_fuse(config: RunConfig, knowledge_type: str) -> Path:
+def _fused_name(config: RunConfig, knowledge_type: str) -> str:
+    return f"fused.{config.fusion.strategy}.{knowledge_type}.jsonl"
+
+
+def cmd_fuse(config: RunConfig, base: Outputs, ctx: Outputs, knowledge_type: str) -> list[PredictionRecord]:
     directory = run_dir(config)
-    base_path = _require_artifact(directory / "predictions.base.jsonl", "predict")
-    ctx_path = _require_artifact(directory / f"predictions.{knowledge_type}.jsonl", "predict")
-    base = read_outputs(base_path)
-    ctx = read_outputs(ctx_path)
     records = fuse_records(base, ctx, config.fusion, knowledge_type=knowledge_type)
-    out = directory / f"fused.{config.fusion.strategy}.{knowledge_type}.jsonl"
+    out = directory / _fused_name(config, knowledge_type)
     write_predictions(out, records)
-    _write_manifest(config, f"fuse.{config.fusion.strategy}.{knowledge_type}", [base_path, ctx_path], [out])
+    inputs = [directory / "predictions.base.jsonl", directory / f"predictions.{knowledge_type}.jsonl"]
+    _write_manifest(config, f"fuse.{config.fusion.strategy}.{knowledge_type}", inputs, [out])
     print(f"wrote {out} ({len(records)} records)")
-    return out
+    return records
 
 
-def _records_from_any(path: Path, alpha: float):
+def _records_from_any(path: Path, alpha: float) -> list[PredictionRecord]:
     """Read either fused records or raw classifier outputs (wrapped as base records)."""
     first = next(read_jsonl(path), None)
     if first is None:
@@ -409,19 +374,12 @@ def _records_from_any(path: Path, alpha: float):
     return base_records(read_outputs(path), alpha=alpha)
 
 
-def cmd_evaluate(config: RunConfig, predictions: str | None) -> Path:
+def cmd_evaluate(
+    config: RunConfig, samples: Sequence[Sample], records: Sequence[PredictionRecord], predictions_path: Path
+) -> Path:
+    """Score records, read from or written to predictions_path, against the samples' gold labels."""
     directory = run_dir(config)
-    samples_path = _require_artifact(directory / "samples.jsonl", "ingest")
-    if predictions is not None:
-        predictions_path = Path(predictions)
-        if not predictions_path.exists():
-            predictions_path = directory / predictions
-    else:
-        predictions_path = directory / "predictions.base.jsonl"
-    _require_artifact(predictions_path, "predict or fuse")
-    samples = read_samples(samples_path)
     golds = _golds(samples)
-    records = _records_from_any(predictions_path, config.fusion.alpha)
     gold_list = gold_labels([r.sample_id for r in records], golds)
     report = compute_metrics(gold_list, [r.final_label for r in records])
     scored = {r.sample_id for r in records}
@@ -446,21 +404,18 @@ def cmd_evaluate(config: RunConfig, predictions: str | None) -> Path:
             rate_text = "" if rate is None else repr(rate)
             lines.append(f"{name},{lo!r},{hi!r},{count},{rate_text}")
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(config, f"evaluate.{stem}", [samples_path, predictions_path], [metrics_path, entropy_path, csv_path])
+    inputs = [directory / "samples.jsonl", predictions_path]
+    _write_manifest(config, f"evaluate.{stem}", inputs, [metrics_path, entropy_path, csv_path])
     print(f"wrote {metrics_path} (accuracy {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f})")
     return metrics_path
 
 
-def cmd_sweep(config: RunConfig, knowledge_type: str) -> Path:
+def cmd_sweep(config: RunConfig, samples: Sequence[Sample], base: Outputs, ctx: Outputs, knowledge_type: str) -> Path:
     directory = run_dir(config)
-    samples_path = _require_artifact(directory / "samples.jsonl", "ingest")
-    base_path = _require_artifact(directory / "predictions.base.jsonl", "predict")
-    ctx_path = _require_artifact(directory / f"predictions.{knowledge_type}.jsonl", "predict")
-    golds = _golds(read_samples(samples_path))
     result = sweep(
-        read_outputs(base_path),
-        read_outputs(ctx_path),
-        golds,
+        base,
+        ctx,
+        _golds(samples),
         alpha_grid=config.sweep.alpha_grid,
         beta_grid=config.sweep.beta_grid,
         fusion=config.fusion,
@@ -473,7 +428,8 @@ def cmd_sweep(config: RunConfig, knowledge_type: str) -> Path:
     lines = ["alpha,beta,macro_f1"]
     lines.extend(f"{g.alpha!r},{g.beta!r},{g.macro_f1!r}" for g in result.grid)
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(config, f"sweep.{knowledge_type}", [samples_path, base_path, ctx_path], [out, csv_path])
+    inputs = [directory / n for n in ("samples.jsonl", "predictions.base.jsonl", f"predictions.{knowledge_type}.jsonl")]
+    _write_manifest(config, f"sweep.{knowledge_type}", inputs, [out, csv_path])
     print(
         f"wrote {out} (selected alpha {result.selected_alpha}, beta {result.selected_beta}, "
         f"dev F1 {result.selected_f1:.4f})"
@@ -481,23 +437,17 @@ def cmd_sweep(config: RunConfig, knowledge_type: str) -> Path:
     return out
 
 
-def cmd_compare_types(config: RunConfig) -> Path:
+def cmd_compare_types(
+    config: RunConfig, samples: Sequence[Sample], base: Outputs, per_type: Mapping[str, Sequence[PredictionRecord]]
+) -> Path:
+    """One row per fused set in per_type, keyed by knowledge type, after the base row."""
     directory = run_dir(config)
-    samples_path = _require_artifact(directory / "samples.jsonl", "ingest")
-    base_path = _require_artifact(directory / "predictions.base.jsonl", "predict")
-    golds = _golds(read_samples(samples_path))
-    base = base_records(read_outputs(base_path), alpha=config.fusion.alpha)
-    per_type = {}
-    inputs = [samples_path, base_path]
-    for knowledge_type in config.knowledge_types:
-        fused_path = _require_artifact(
-            directory / f"fused.{config.fusion.strategy}.{knowledge_type}.jsonl", "fuse"
-        )
-        per_type[knowledge_type] = read_predictions(fused_path)
-        inputs.append(fused_path)
-    rows = compare_knowledge_types(base, per_type, golds)
+    base_set = base_records(base, alpha=config.fusion.alpha)
+    rows = compare_knowledge_types(base_set, per_type, _golds(samples))
     out = directory / "knowledge_types.csv"
     out.write_text(knowledge_rows_to_csv(rows), encoding="utf-8")
+    inputs = [directory / "samples.jsonl", directory / "predictions.base.jsonl"]
+    inputs.extend(directory / _fused_name(config, knowledge_type) for knowledge_type in per_type)
     _write_manifest(config, "compare-types", inputs, [out])
     print(f"wrote {out} ({len(rows)} rows)")
     return out
@@ -538,16 +488,19 @@ def cmd_judge_prompt(sentence: str, context1: str, context2: str, out: str | Non
 
 
 def cmd_pipeline(config: RunConfig, cache: ResponseCache | None = None) -> None:
-    cmd_ingest(config)
-    cmd_predict(config, None, cache)
-    cmd_evaluate(config, "predictions.base.jsonl")
+    """Run every stage, handing each stage's values to the next; no artifact is read back."""
+    directory = run_dir(config)
+    samples = cmd_ingest(config)
+    base = cmd_predict(config, samples, cache=cache)
+    cmd_evaluate(config, samples, base_records(base, alpha=config.fusion.alpha), directory / "predictions.base.jsonl")
+    per_type = {}
     for knowledge_type in config.knowledge_types:
-        cmd_generate_context(config, knowledge_type, cache)
-        cmd_predict(config, knowledge_type, cache)
-        fused = cmd_fuse(config, knowledge_type)
-        cmd_evaluate(config, fused.name)
+        contexts = cmd_generate_context(config, samples, knowledge_type, cache)
+        ctx = cmd_predict(config, samples, knowledge_type, contexts, cache)
+        per_type[knowledge_type] = cmd_fuse(config, base, ctx, knowledge_type)
+        cmd_evaluate(config, samples, per_type[knowledge_type], directory / _fused_name(config, knowledge_type))
     if len(config.knowledge_types) > 1:
-        cmd_compare_types(config)
+        cmd_compare_types(config, samples, base, per_type)
 
 
 # ---------------------------------------------------------------------------
@@ -619,30 +572,55 @@ def main(argv: Sequence[str] | None = None) -> int:
             cmd_judge_prompt(args.sentence, args.context1, args.context2, args.out)
             return 0
         config = load_config(args.config, _overrides(args))
+        directory = run_dir(config)
         active_types = (args.knowledge_type,) if args.knowledge_type else config.knowledge_types
+
+        def load(name: str, read: Callable[[Path], Any], producer: str) -> Any:
+            return read(_require_artifact(directory / name, producer))
+
         # One cache per invocation, opened only by the commands that call a backend.
         opens_cache = config.cache_path and args.command in ("generate-context", "predict", "pipeline")
         with ResponseCache(config.cache_path) if opens_cache else contextlib.nullcontext() as cache:
             if args.command == "ingest":
                 cmd_ingest(config)
             elif args.command == "generate-context":
+                samples = load("samples.jsonl", read_samples, "ingest")
                 for knowledge_type in active_types:
-                    cmd_generate_context(config, knowledge_type, cache)
+                    cmd_generate_context(config, samples, knowledge_type, cache)
             elif args.command == "predict":
-                cmd_predict(config, None, cache)
+                samples = load("samples.jsonl", read_samples, "ingest")
+                cmd_predict(config, samples, cache=cache)
                 if not args.base_only:
                     for knowledge_type in active_types:
-                        cmd_predict(config, knowledge_type, cache)
+                        contexts = load(f"contexts.{knowledge_type}.jsonl", read_contexts, "generate-context")
+                        cmd_predict(config, samples, knowledge_type, contexts, cache)
             elif args.command == "fuse":
+                base = load("predictions.base.jsonl", read_outputs, "predict")
                 for knowledge_type in active_types:
-                    cmd_fuse(config, knowledge_type)
+                    ctx = load(f"predictions.{knowledge_type}.jsonl", read_outputs, "predict")
+                    cmd_fuse(config, base, ctx, knowledge_type)
             elif args.command == "evaluate":
-                cmd_evaluate(config, args.predictions)
+                samples = load("samples.jsonl", read_samples, "ingest")
+                if args.predictions is not None:
+                    predictions_path = Path(args.predictions)
+                    if not predictions_path.exists():
+                        predictions_path = directory / args.predictions
+                else:
+                    predictions_path = directory / "predictions.base.jsonl"
+                _require_artifact(predictions_path, "predict or fuse")
+                records = _records_from_any(predictions_path, config.fusion.alpha)
+                cmd_evaluate(config, samples, records, predictions_path)
             elif args.command == "sweep":
+                samples = load("samples.jsonl", read_samples, "ingest")
+                base = load("predictions.base.jsonl", read_outputs, "predict")
                 for knowledge_type in active_types:
-                    cmd_sweep(config, knowledge_type)
+                    ctx = load(f"predictions.{knowledge_type}.jsonl", read_outputs, "predict")
+                    cmd_sweep(config, samples, base, ctx, knowledge_type)
             elif args.command == "compare-types":
-                cmd_compare_types(config)
+                samples = load("samples.jsonl", read_samples, "ingest")
+                base = load("predictions.base.jsonl", read_outputs, "predict")
+                per_type = {t: load(_fused_name(config, t), read_predictions, "fuse") for t in config.knowledge_types}
+                cmd_compare_types(config, samples, base, per_type)
             elif args.command == "analyze-saliency":
                 cmd_analyze_saliency(config, args.dump)
             elif args.command == "pipeline":

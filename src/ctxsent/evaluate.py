@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .classifier import ClassifierOutput
-from .datamodel import POLARITIES, DatasetError, Polarity, PolarityDistribution, PredictionRecord, argmax_label
+from .datamodel import POLARITIES, DatasetError, Polarity, PolarityDistribution, PredictionRecord
 from .fusion import FusionConfig, fuse_records, is_hard
 
 MAX_ENTROPY_BITS = math.log2(3.0)
@@ -105,11 +105,9 @@ def entropy(p: PolarityDistribution) -> float:
     return total
 
 
-def default_entropy_edges(bins: int = 8) -> tuple[float, ...]:
-    """Equal-width bin edges over [0, log2(3)]."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    return tuple(i * MAX_ENTROPY_BITS / bins for i in range(bins + 1))
+def default_entropy_edges() -> tuple[float, ...]:
+    """Edges of eight equal-width bins over [0, log2(3)]."""
+    return tuple(i * MAX_ENTROPY_BITS / 8 for i in range(9))
 
 
 @dataclass(frozen=True)
@@ -142,23 +140,16 @@ class EntropyBucketReport:
 def error_rate_by_entropy(
     records: Sequence[PredictionRecord],
     golds: Mapping[str, Polarity],
-    edges: Sequence[float] | None = None,
     hard_only: bool = False,
     alpha: float = 0.3,
-    label_source: str = "final",
 ) -> EntropyBucketReport:
     """Bucket samples by base-distribution entropy and report per-bucket error rates.
 
-    label_source picks which prediction is scored: "final" uses the record's
-    final label, "base" re-derives the label from the base distribution. The
-    hard filter recomputes the confidence gap from the base distribution
+    Each record is scored by its final label over the default entropy edges.
+    The hard filter recomputes the confidence gap from the base distribution
     against the alpha given here.
     """
-    if label_source not in ("final", "base"):
-        raise ValueError(f"label_source must be 'final' or 'base', got {label_source!r}")
-    bin_edges = tuple(edges) if edges is not None else default_entropy_edges()
-    if len(bin_edges) < 2 or any(b <= a for a, b in zip(bin_edges, bin_edges[1:])):
-        raise ValueError("edges must be strictly increasing with at least two values")
+    bin_edges = default_entropy_edges()
     buckets = len(bin_edges) - 1
     counts = [0] * buckets
     errors = [0] * buckets
@@ -169,10 +160,9 @@ def error_rate_by_entropy(
             continue
         h = entropy(record.base)
         index = min(max(bisect_right(bin_edges, h) - 1, 0), buckets - 1)
-        label = record.final_label if label_source == "final" else argmax_label(record.base)
         counts[index] += 1
         analyzed += 1
-        if label is not gold:
+        if record.final_label is not gold:
             errors[index] += 1
     rates = tuple(errors[i] / counts[i] if counts[i] else None for i in range(buckets))
     return EntropyBucketReport(

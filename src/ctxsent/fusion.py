@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .classifier import ClassifierOutput
 from .datamodel import (
@@ -210,15 +210,12 @@ def fuse_pair(
 
 def fuse_records(
     base_outputs: Sequence[ClassifierOutput],
-    ctx_outputs: Sequence[ClassifierOutput] | Mapping[str, ClassifierOutput],
+    ctx_outputs: Sequence[ClassifierOutput],
     config: FusionConfig,
     knowledge_type: str | None = None,
 ) -> list[PredictionRecord]:
     """Join base and context outputs by sample id and fuse each pair."""
-    if isinstance(ctx_outputs, Mapping):
-        by_id = dict(ctx_outputs)
-    else:
-        by_id = {o.sample_id: o for o in ctx_outputs}
+    by_id = {o.sample_id: o for o in ctx_outputs}
     return [fuse_pair(base, by_id.get(base.sample_id), config, knowledge_type) for base in base_outputs]
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import write_config
-from ctxsent.backend import ResponseCache, TransportError
-from ctxsent.cli import cmd_generate_context, load_config, main
+from ctxsent.backend import BackendConfig, ResponseCache, TransportError
+from ctxsent.cli import DatasetSpec, RunConfig, SweepSpec, cmd_generate_context, load_config, main
 from ctxsent.classifier import read_outputs
 from ctxsent.datamodel import read_predictions, read_samples
 from ctxsent.evaluate import compute_metrics
@@ -40,6 +40,89 @@ class TestConfig:
         tweaked = load_config(path, {"beta": 0.9})
         assert tweaked.fusion.beta == 0.9
         assert tweaked.config_hash != base.config_hash
+
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            ({"dataset": {"path": "x.jsonl", "zzz": 1}}, "unknown dataset keys: ['zzz']"),
+            ({"fusion": {"alpha": 0.3, "zzz": 1}}, "unknown fusion keys: ['zzz']"),
+            ({"sweep": {"zzz": 1}}, "unknown sweep keys: ['zzz']"),
+            ({"generator_backend": {"kind": "mock", "zzz": 1}}, "unknown backend keys: ['zzz']"),
+            ({"generator_backend": {"mock": {"seed": 1, "zzz": 1}}}, "unknown backend.mock keys: ['zzz']"),
+            ({"config_hash": "x"}, "unknown config keys: ['config_hash']"),
+            ({"dataset": {"adapter": "canonical-jsonl"}}, "config requires dataset.path"),
+            ({"dataset": None}, "config requires dataset.path"),
+            ({"fusion": {"beta": 0}, "sweep": {"alpha_grid": [0, 1]}}, None),
+            ({"fusion": None, "knowledge_types": []}, None),
+        ],
+    )
+    def test_config_table(self, tmp_path, changes, error):
+        from ctxsent.backend import ConfigurationError
+
+        path = write_config(tmp_path / "config.json", **changes)
+        if error is not None:
+            with pytest.raises(ConfigurationError) as exc_info:
+                load_config(path)
+            assert str(exc_info.value) == error
+            return
+        config = load_config(path)
+        if "sweep" in changes:
+            assert repr(config.fusion.beta) == "0.0"
+            assert config.sweep.alpha_grid == (0.0, 1.0)
+            assert all(type(a) is float for a in config.sweep.alpha_grid)
+            for command in ("ingest", "generate-context", "predict", "sweep"):
+                assert _run(command, "--config", path) == 0
+            rows = (tmp_path / "out" / "run" / "sweep.historical.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in rows[1:]] == ["0.3"] * 10 + ["0.0", "1.0"]
+            assert rows[1].startswith("0.3,0.0,")
+        else:
+            assert config.fusion == FusionConfig()
+            assert config.knowledge_types == ("historical",)
+
+    def test_readme_example_config(self, tmp_path):
+        raw = {
+            "dataset": {"path": "data/test.jsonl", "adapter": "canonical-jsonl", "column_map": None, "split": "test"},
+            "level": "sentence",
+            "generator_backend": {"kind": "mock", "model_id": "mock-generator"},
+            "classifier_backend": {
+                "kind": "remote", "model_id": "my-lvlm", "base_url": "http://host:8000",
+                "api_key_env": "MY_API_KEY", "temperature": 0, "timeout": 30,
+                "max_retries": 2, "concurrency_limit": 4,
+            },
+            "knowledge_types": ["historical"],
+            "fusion": {"alpha": 0.3, "beta": 0.45, "strategy": "cf", "cxmi_threshold": 1.1, "gate_alternatives": False},
+            "sweep": {
+                "alpha_grid": [0.1, 0.2, 0.3, 0.4, 0.5],
+                "beta_grid": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+                "mode": "two-phase",
+                "fixed_alpha": 0.3,
+            },
+            "out_dir": "out",
+            "run_id": None,
+            "seed": 0,
+            "image_token": "<image>",
+            "cache_path": "cache.jsonl",
+            "score_normalization": "total",
+            "template_file": None,
+            "instruction_template_file": None,
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        expected = RunConfig(
+            dataset=DatasetSpec(path="data/test.jsonl"),
+            generator_backend=BackendConfig(kind="mock", model_id="mock-generator"),
+            classifier_backend=BackendConfig(
+                kind="remote", model_id="my-lvlm", base_url="http://host:8000", api_key_env="MY_API_KEY"
+            ),
+            fusion=FusionConfig(),
+            sweep=SweepSpec(),
+            cache_path="cache.jsonl",
+            config_hash="53a0d73fd4f866940c959135f720d535ec29661239b62f3fda3948537c6dfab1",
+        )
+        config = load_config(path)
+        # repr also tells 0 from 0.0, so it checks the coercions that == cannot.
+        assert config == expected
+        assert repr(config) == repr(expected)
 
     def test_knowledge_type_is_scope_filter_not_override(self, tmp_path):
         path = write_config(tmp_path / "config.json", knowledge_types=["historical", "financial"])
@@ -158,6 +241,42 @@ class TestPipelineCommands:
         assert "ctxsent" in manifest["versions"]
 
 
+class TestHandOff:
+    @pytest.mark.parametrize(
+        "fusion",
+        [
+            {"alpha": 0.3, "beta": 0.45, "strategy": "cf"},
+            {"alpha": 0.3, "beta": 0.45, "strategy": "average", "gate_alternatives": True},
+        ],
+    )
+    def test_pipeline_writes_what_the_single_stages_write(self, tmp_path, fusion):
+        config_path = write_config(
+            tmp_path / "config.json", seed=3, knowledge_types=["historical", "cultural"], fusion=fusion
+        )
+        assert _run("pipeline", "--config", config_path, "--out", tmp_path / "chained") == 0
+        staged = tmp_path / "staged"
+        fused = [f"fused.{fusion['strategy']}.{kt}.jsonl" for kt in ("historical", "cultural")]
+        commands = [["ingest"], ["generate-context"], ["predict"], ["fuse"], ["evaluate"]]
+        commands += [["evaluate", "--predictions", name] for name in fused] + [["compare-types"]]
+        for command in commands:
+            assert _run(*command, "--config", config_path, "--out", staged) == 0
+        chained = _artifacts(tmp_path / "chained" / "run")
+        assert len(chained) == 30
+        assert chained == _artifacts(staged / "run")
+
+    def test_pipeline_reads_no_artifact_back(self, tmp_path, monkeypatch):
+        import ctxsent.cli as cli
+
+        reads = []
+        for name in ("read_samples", "read_outputs", "read_predictions", "read_contexts"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, _fn=original: reads.append(_name) or _fn(*a))
+        config_path = write_config(tmp_path / "config.json", seed=3, knowledge_types=["historical", "cultural"])
+        assert _run("pipeline", "--config", config_path) == 0
+        assert (tmp_path / "out" / "run" / "knowledge_types.csv").exists()
+        assert reads == []
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical(self, tmp_path):
         (tmp_path / "first").mkdir()
@@ -218,7 +337,8 @@ class TestRemoteGeneration:
             assert _run("ingest", "--config", config_path) == 0
             assert _run("generate-context", "--config", config_path) == 1
             with pytest.raises(TransportError) as exc_info:
-                cmd_generate_context(load_config(config_path), "historical")
+                samples = read_samples(tmp_path / "out" / "run" / "samples.jsonl")
+                cmd_generate_context(load_config(config_path), samples, "historical")
         assert exc_info.value.last_status == 503
 
 

@@ -177,15 +177,6 @@ class TestErrorRateByEntropy:
         with pytest.raises(ValueError, match="gold"):
             error_rate_by_entropy(records, {})
 
-    def test_label_source_base_rescores(self):
-        base = PolarityDistribution((0.2, 0.2, 0.6))
-        record = _record("a", base, final=NEG, strategy="cf")
-        golds = {"a": POS}
-        final_report = error_rate_by_entropy([record], golds, label_source="final")
-        base_report = error_rate_by_entropy([record], golds, label_source="base")
-        assert 1.0 in [r for r in final_report.error_rates if r is not None]
-        assert 0.0 in [r for r in base_report.error_rates if r is not None]
-
 
 def _dev_outputs(n=300, seed=17):
     samples = make_samples(n, seed=1)
