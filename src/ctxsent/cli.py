@@ -16,10 +16,10 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TypeVar, get_type_hints
+from typing import Any, Callable, Mapping, Sequence, TypeVar, get_args, get_type_hints
 
 from . import __version__
 from .backend import (
@@ -35,7 +35,6 @@ from .backend import (
 from .classifier import ClassifierOutput, predict_batch, read_outputs, write_outputs
 from .datamodel import (
     ContextRecord,
-    DatasetError,
     Polarity,
     PredictionRecord,
     Sample,
@@ -55,36 +54,26 @@ from .evaluate import (
     compute_metrics,
     error_rate_by_entropy,
     gold_labels,
-    knowledge_rows_to_csv,
+    rows_to_csv,
     sweep,
 )
 from .fusion import STRATEGIES, FusionConfig, base_records, fuse_records
 from .prompts import (
     PromptTemplate,
-    TemplateError,
     get_template,
     load_template_file,
     render_context_prompt,
     render_judge_prompt,
 )
-from .saliency import SaliencyError, load_dump, s_scores, scores_to_csv
+from .saliency import load_dump, s_scores, scores_to_csv
 
 _EPOCH = "1970-01-01T00:00:00+00:00"
 
 T = TypeVar("T")
 Outputs = Sequence[ClassifierOutput]
 
-_USER_ERRORS = (
-    ConfigurationError,
-    TransportError,
-    CapabilityError,
-    DatasetError,
-    SchemaError,
-    TemplateError,
-    SaliencyError,
-    ValueError,
-    OSError,
-)
+# Every package error is a ValueError or one of the two runtime errors below.
+_USER_ERRORS = (TransportError, CapabilityError, ValueError, OSError)
 
 
 @dataclass(frozen=True)
@@ -125,17 +114,34 @@ class RunConfig:
     config_hash: str = ""
 
 
-def _as_given(value: Any) -> Any:
+def _to_int(value: Any) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def _to_bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
     return value
 
 
 # Config values converted by their field's annotation; any other field takes its value as given.
 _COERCIONS: dict[Any, Callable[[Any], Any]] = {
     float: float,
-    int: int,
-    bool: bool,
+    int: _to_int,
+    bool: _to_bool,
     tuple[float, ...]: lambda values: tuple(float(v) for v in values),
 }
+
+
+def _coerce(hint: Any, value: Any) -> Any:
+    if value is None:
+        if type(None) not in get_args(hint):
+            raise ValueError("must not be null")
+        return None
+    convert = _COERCIONS.get(hint)
+    return value if convert is None else convert(value)
 
 
 def _section(cls: type[T], section: Mapping[str, Any], where: str, coerce: bool = True, **derived: Any) -> T:
@@ -144,13 +150,22 @@ def _section(cls: type[T], section: Mapping[str, Any], where: str, coerce: bool 
     The section's keys are cls's fields less the derived ones, which the
     caller computes, so each setting is named once, in its dataclass. An
     absent key keeps the field's default. With coerce, a value whose field is
-    a float, int, bool or float tuple is converted to that type.
+    a float, int, bool or float tuple is converted to that type, and a value
+    the field cannot hold, null included unless the field is optional, raises
+    a ConfigurationError naming where.key.
     """
     unknown = set(section) - {f.name for f in fields(cls) if f.name not in derived}
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
-    hints = get_type_hints(cls) if coerce else {}
-    values = {key: _COERCIONS.get(hints.get(key), _as_given)(value) for key, value in section.items()}
+    if not coerce:
+        return cls(**section, **derived)
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in section.items():
+        try:
+            values[key] = _coerce(hints[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{where}.{key}: {exc}") from None
     return cls(**values, **derived)
 
 
@@ -193,10 +208,10 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
             if value is None:
                 continue
             if key in ("alpha", "beta", "strategy"):
-                raw.setdefault("fusion", {})[key] = value
+                raw["fusion"] = {**(raw.get("fusion") or {}), key: value}
             elif key == "backend":
                 for section in ("generator_backend", "classifier_backend"):
-                    raw.setdefault(section, {})["kind"] = value
+                    raw[section] = {**(raw.get(section) or {}), "kind": value}
             elif key == "out":
                 raw["out_dir"] = value
             else:
@@ -423,11 +438,9 @@ def cmd_sweep(config: RunConfig, samples: Sequence[Sample], base: Outputs, ctx: 
         fixed_alpha=config.sweep.fixed_alpha,
     )
     out = directory / f"sweep.{knowledge_type}.json"
-    _write_json(out, result.to_dict())
+    _write_json(out, asdict(result))
     csv_path = directory / f"sweep.{knowledge_type}.csv"
-    lines = ["alpha,beta,macro_f1"]
-    lines.extend(f"{g.alpha!r},{g.beta!r},{g.macro_f1!r}" for g in result.grid)
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    csv_path.write_text(rows_to_csv(result.grid), encoding="utf-8")
     inputs = [directory / n for n in ("samples.jsonl", "predictions.base.jsonl", f"predictions.{knowledge_type}.jsonl")]
     _write_manifest(config, f"sweep.{knowledge_type}", inputs, [out, csv_path])
     print(
@@ -445,7 +458,7 @@ def cmd_compare_types(
     base_set = base_records(base, alpha=config.fusion.alpha)
     rows = compare_knowledge_types(base_set, per_type, _golds(samples))
     out = directory / "knowledge_types.csv"
-    out.write_text(knowledge_rows_to_csv(rows), encoding="utf-8")
+    out.write_text(rows_to_csv(rows), encoding="utf-8")
     inputs = [directory / "samples.jsonl", directory / "predictions.base.jsonl"]
     inputs.extend(directory / _fused_name(config, knowledge_type) for knowledge_type in per_type)
     _write_manifest(config, "compare-types", inputs, [out])
@@ -464,15 +477,7 @@ def cmd_analyze_saliency(config: RunConfig, dump_path: str) -> Path:
     csv_path = directory / f"saliency.{stem}.csv"
     csv_path.write_text(scores_to_csv(scores), encoding="utf-8")
     json_path = directory / f"saliency.{stem}.json"
-    _write_json(
-        json_path,
-        {
-            "model_id": dump.model_id,
-            "sample_id": dump.sample_id,
-            "context_to_prediction": list(scores.context_to_prediction),
-            "input_to_prediction": list(scores.input_to_prediction),
-        },
-    )
+    _write_json(json_path, {"model_id": dump.model_id, "sample_id": dump.sample_id, **asdict(scores)})
     _write_manifest(config, f"analyze-saliency.{stem}", [dump_file], [csv_path, json_path])
     print(f"wrote {csv_path}")
     return csv_path
@@ -507,21 +512,6 @@ def cmd_pipeline(config: RunConfig, cache: ResponseCache | None = None) -> None:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="run-config JSON file")
-    parser.add_argument("--seed", type=int, default=None, help="override the run seed")
-    parser.add_argument("--alpha", type=float, default=None, help="override fusion alpha")
-    parser.add_argument("--beta", type=float, default=None, help="override fusion beta")
-    parser.add_argument("--strategy", choices=STRATEGIES, default=None, help="override fusion strategy")
-    parser.add_argument(
-        "--knowledge-type",
-        default=None,
-        help="work on this knowledge type only (scope filter; does not change the run id)",
-    )
-    parser.add_argument("--backend", choices=("mock", "remote"), default=None, help="override backend kind")
-    parser.add_argument("--out", default=None, help="override the output directory")
-
-
 def _overrides(args: argparse.Namespace) -> dict[str, Any]:
     return {
         "seed": args.seed,
@@ -537,25 +527,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctxsent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, extra in (
-        ("ingest", ()),
-        ("generate-context", ()),
-        ("predict", ("--base-only",)),
-        ("fuse", ()),
-        ("evaluate", ("--predictions",)),
-        ("sweep", ()),
-        ("compare-types", ()),
-        ("analyze-saliency", ("--dump",)),
-        ("pipeline", ()),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if "--base-only" in extra:
-            p.add_argument("--base-only", action="store_true", help="skip context-conditioned predictions")
-        if "--predictions" in extra:
-            p.add_argument("--predictions", default=None, help="predictions or fused JSONL to score")
-        if "--dump" in extra:
-            p.add_argument("--dump", required=True, help="saliency dump JSON file")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="run-config JSON file")
+    common.add_argument("--seed", type=int, default=None, help="override the run seed")
+    common.add_argument("--alpha", type=float, default=None, help="override fusion alpha")
+    common.add_argument("--beta", type=float, default=None, help="override fusion beta")
+    common.add_argument("--strategy", choices=STRATEGIES, default=None, help="override fusion strategy")
+    common.add_argument(
+        "--knowledge-type",
+        default=None,
+        help="work on this knowledge type only (scope filter; does not change the run id)",
+    )
+    common.add_argument("--backend", choices=("mock", "remote"), default=None, help="override backend kind")
+    common.add_argument("--out", default=None, help="override the output directory")
+    stages = {
+        name: sub.add_parser(name, parents=[common])
+        for name in (
+            "ingest",
+            "generate-context",
+            "predict",
+            "fuse",
+            "evaluate",
+            "sweep",
+            "compare-types",
+            "analyze-saliency",
+            "pipeline",
+        )
+    }
+    stages["predict"].add_argument("--base-only", action="store_true", help="skip context-conditioned predictions")
+    stages["evaluate"].add_argument("--predictions", default=None, help="predictions or fused JSONL to score")
+    stages["analyze-saliency"].add_argument("--dump", required=True, help="saliency dump JSON file")
 
     judge = sub.add_parser("judge-prompt")
     judge.add_argument("--sentence", required=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -221,10 +221,6 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, obj
 
 
-def _dist_to_list(dist: PolarityDistribution | None) -> list[float] | None:
-    return None if dist is None else list(dist.probs)
-
-
 def _dist_from_list(values: Any, where: str) -> PolarityDistribution:
     if not isinstance(values, (list, tuple)) or len(values) != 3:
         raise SchemaError(f"{where}: expected a 3-element probability array, got {values!r}")
@@ -257,43 +253,33 @@ def sample_from_dict(row: Mapping[str, Any]) -> Sample:
         raise SchemaError(f"missing field {exc.args[0]!r}") from None
 
 
+# Field names computed once; asdict would call fields() and deep-copy every value per record.
+_CONTEXT_FIELDS = tuple(f.name for f in fields(ContextRecord))
+_PREDICTION_FIELDS = tuple(f.name for f in fields(PredictionRecord))
+
+
 def context_to_dict(record: ContextRecord) -> dict[str, Any]:
-    return {
-        "sample_id": record.sample_id,
-        "knowledge_type": record.knowledge_type,
-        "model_id": record.model_id,
-        "prompt_hash": record.prompt_hash,
-        "text": record.text,
-        "created_at": record.created_at,
-    }
+    return {name: getattr(record, name) for name in _CONTEXT_FIELDS}
 
 
 def context_from_dict(row: Mapping[str, Any]) -> ContextRecord:
     try:
-        return ContextRecord(
-            sample_id=str(row["sample_id"]),
-            knowledge_type=str(row["knowledge_type"]),
-            model_id=str(row["model_id"]),
-            prompt_hash=str(row["prompt_hash"]),
-            text=str(row["text"]),
-            created_at=str(row["created_at"]),
-        )
+        return ContextRecord(**{name: str(row[name]) for name in _CONTEXT_FIELDS})
     except KeyError as exc:
         raise SchemaError(f"missing field {exc.args[0]!r}") from None
 
 
+def _encode(value: Any) -> Any:
+    """JSON form of a record field: a distribution as its list, a polarity as its label."""
+    if isinstance(value, PolarityDistribution):
+        return list(value.probs)
+    if isinstance(value, Polarity):
+        return value.label
+    return value
+
+
 def prediction_to_dict(record: PredictionRecord) -> dict[str, Any]:
-    return {
-        "sample_id": record.sample_id,
-        "base": _dist_to_list(record.base),
-        "with_context": _dist_to_list(record.with_context),
-        "fused": _dist_to_list(record.fused),
-        "delta": record.delta,
-        "is_hard": record.is_hard,
-        "final_label": record.final_label.label,
-        "strategy": record.strategy,
-        "knowledge_type": record.knowledge_type,
-    }
+    return {name: _encode(getattr(record, name)) for name in _PREDICTION_FIELDS}
 
 
 def prediction_from_dict(row: Mapping[str, Any]) -> PredictionRecord:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Mapping, Sequence
 
 from .classifier import ClassifierOutput
-from .datamodel import POLARITIES, DatasetError, Polarity, PolarityDistribution, PredictionRecord
+from .datamodel import LABELS, POLARITIES, DatasetError, Polarity, PolarityDistribution, PredictionRecord
 from .fusion import FusionConfig, fuse_records, is_hard
 
 MAX_ENTROPY_BITS = math.log2(3.0)
@@ -40,22 +40,10 @@ class MetricsReport:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "per_class": {
-                polarity.label: {
-                    "precision": cm.precision,
-                    "recall": cm.recall,
-                    "f1": cm.f1,
-                    "support": cm.support,
-                }
-                for polarity, cm in zip(POLARITIES, self.per_class)
-            },
-            "n": self.n,
-        }
+        """The report's fields, with per_class keyed by polarity label."""
+        report = asdict(self)
+        report["per_class"] = dict(zip(LABELS, report["per_class"]))
+        return report
 
 
 def gold_labels(ids: Sequence[str], golds: Mapping[str, Polarity]) -> list[Polarity]:
@@ -126,15 +114,7 @@ class EntropyBucketReport:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "entropy_base": 2,
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "error_rates": list(self.error_rates),
-            "hard_only": self.hard_only,
-            "alpha": self.alpha,
-            "n": self.n,
-        }
+        return {"entropy_base": 2, **asdict(self)}
 
 
 def error_rate_by_entropy(
@@ -186,38 +166,28 @@ class GridPoint:
     macro_f1: float
 
 
+def _best(points: Sequence[GridPoint]) -> GridPoint:
+    """The point with the highest macro-F1; ties go to the smallest beta, then the smallest alpha."""
+    return min(points, key=lambda g: (-g.macro_f1, g.beta, g.alpha))
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """Evaluated grid plus the selected configuration.
-
-    The selected pair attains the maximum dev macro-F1 over the evaluated
-    points; ties resolve to the smallest beta, then the smallest alpha.
-    """
+    """Evaluated grid plus the point selected from it by _best; the selection is derived, never given."""
 
     grid: tuple[GridPoint, ...]
-    selected_alpha: float
-    selected_beta: float
-    selected_f1: float
     rule: str
+    selected_alpha: float = field(init=False)
+    selected_beta: float = field(init=False)
+    selected_f1: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.grid:
             raise ValueError("sweep grid is empty")
-        best = min(self.grid, key=lambda g: (-g.macro_f1, g.beta, g.alpha))
-        if (best.alpha, best.beta, best.macro_f1) != (self.selected_alpha, self.selected_beta, self.selected_f1):
-            raise ValueError(
-                f"selected point ({self.selected_alpha}, {self.selected_beta}) does not attain "
-                f"the grid maximum at ({best.alpha}, {best.beta})"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "selected_alpha": self.selected_alpha,
-            "selected_beta": self.selected_beta,
-            "selected_f1": self.selected_f1,
-            "grid": [{"alpha": g.alpha, "beta": g.beta, "macro_f1": g.macro_f1} for g in self.grid],
-        }
+        best = _best(self.grid)
+        object.__setattr__(self, "selected_alpha", best.alpha)
+        object.__setattr__(self, "selected_beta", best.beta)
+        object.__setattr__(self, "selected_f1", best.macro_f1)
 
 
 def sweep(
@@ -257,20 +227,13 @@ def sweep(
     else:
         phase_one = [evaluate_point(fixed_alpha, beta) for beta in beta_grid]
         points.extend(phase_one)
-        best_beta = min(phase_one, key=lambda g: (-g.macro_f1, g.beta)).beta
+        best_beta = _best(phase_one).beta
         seen = {(g.alpha, g.beta) for g in points}
         for alpha in alpha_grid:
             if (alpha, best_beta) not in seen:
                 points.append(evaluate_point(alpha, best_beta))
 
-    best = min(points, key=lambda g: (-g.macro_f1, g.beta, g.alpha))
-    return SweepResult(
-        grid=tuple(points),
-        selected_alpha=best.alpha,
-        selected_beta=best.beta,
-        selected_f1=best.macro_f1,
-        rule=mode,
-    )
+    return SweepResult(grid=tuple(points), rule=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +274,9 @@ def compare_knowledge_types(
     return rows
 
 
-def knowledge_rows_to_csv(rows: Sequence[KnowledgeTypeRow]) -> str:
-    lines = ["knowledge_type,accuracy,macro_f1,n"]
-    lines.extend(f"{r.knowledge_type},{r.accuracy!r},{r.macro_f1!r},{r.n}" for r in rows)
+def rows_to_csv(rows: Sequence[Any]) -> str:
+    """CSV text for non-empty rows of one dataclass: a header of its field names, then one line per row."""
+    names = [f.name for f in fields(rows[0])]
+    lines = [",".join(names)]
+    lines.extend(",".join(str(getattr(row, name)) for name in names) for row in rows)
     return "\n".join(lines) + "\n"

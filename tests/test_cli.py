@@ -54,30 +54,40 @@ class TestConfig:
             ({"dataset": None}, "config requires dataset.path"),
             ({"fusion": {"beta": 0}, "sweep": {"alpha_grid": [0, 1]}}, None),
             ({"fusion": None, "knowledge_types": []}, None),
+            ({"fusion": None, "--alpha": 0.2}, None),
+            ({"generator_backend": None, "--backend": "mock"}, None),
+            ({"fusion": {"alpha": None}}, "fusion.alpha: must not be null"),
+            ({"fusion": {"alpha": "high"}}, "fusion.alpha: could not convert string to float: 'high'"),
+            ({"seed": None}, "config.seed: must not be null"),
+            ({"seed": 2.7}, "config.seed: expected a whole number, got 2.7"),
+            ({"fusion": {"gate_alternatives": "false"}}, "fusion.gate_alternatives: expected true or false, got 'false'"),
         ],
     )
-    def test_config_table(self, tmp_path, changes, error):
-        from ctxsent.backend import ConfigurationError
-
-        path = write_config(tmp_path / "config.json", **changes)
+    def test_config_table(self, tmp_path, capsys, changes, error):
+        # A key starting with "--" is a command-line override, not a config key.
+        overrides = {key[2:]: value for key, value in changes.items() if key.startswith("--")}
+        path = write_config(tmp_path / "config.json", **{k: v for k, v in changes.items() if not k.startswith("--")})
+        argv = [arg for key, value in overrides.items() for arg in (f"--{key}", value)]
         if error is not None:
-            with pytest.raises(ConfigurationError) as exc_info:
-                load_config(path)
-            assert str(exc_info.value) == error
+            assert _run("ingest", "--config", path, *argv) == 1
+            report = {"error": {"type": "ConfigurationError", "message": error}}
+            assert capsys.readouterr().err.splitlines() == [json.dumps(report)]
             return
-        config = load_config(path)
+        config = load_config(path, overrides)
+        assert _run("ingest", "--config", path, *argv) == 0
         if "sweep" in changes:
             assert repr(config.fusion.beta) == "0.0"
             assert config.sweep.alpha_grid == (0.0, 1.0)
             assert all(type(a) is float for a in config.sweep.alpha_grid)
-            for command in ("ingest", "generate-context", "predict", "sweep"):
+            for command in ("generate-context", "predict", "sweep"):
                 assert _run(command, "--config", path) == 0
             rows = (tmp_path / "out" / "run" / "sweep.historical.csv").read_text().splitlines()
             assert [row.split(",")[0] for row in rows[1:]] == ["0.3"] * 10 + ["0.0", "1.0"]
             assert rows[1].startswith("0.3,0.0,")
         else:
-            assert config.fusion == FusionConfig()
+            assert config.fusion == FusionConfig(alpha=overrides.get("alpha", 0.3))
             assert config.knowledge_types == ("historical",)
+            assert config.generator_backend == BackendConfig(kind="mock", model_id="mock-generator")
 
     def test_readme_example_config(self, tmp_path):
         raw = {

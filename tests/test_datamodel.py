@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ctxsent.datamodel import (
     POLARITIES,
+    ContextRecord,
     DatasetError,
     Polarity,
     PolarityDistribution,
@@ -16,6 +17,7 @@ from ctxsent.datamodel import (
     ingest_dataset,
     read_predictions,
     read_samples,
+    write_contexts,
     write_predictions,
     write_samples,
 )
@@ -201,6 +203,25 @@ class TestJsonl:
         records = _records()
         write_predictions(path, records)
         assert read_predictions(path) == records
+
+    def test_record_lines_are_pinned(self, tmp_path):
+        # Keys follow the record dataclass's field order, so a field reorder fails here.
+        context = ContextRecord(
+            sample_id="s1", knowledge_type="historical", model_id="m", prompt_hash="ab12", text="Ctx.", created_at="t0"
+        )
+        write_contexts(tmp_path / "contexts.jsonl", [context])
+        assert (tmp_path / "contexts.jsonl").read_text() == (
+            '{"sample_id": "s1", "knowledge_type": "historical", "model_id": "m", "prompt_hash": "ab12", '
+            '"text": "Ctx.", "created_at": "t0"}\n'
+        )
+        write_predictions(tmp_path / "preds.jsonl", _records()[:2])
+        assert (tmp_path / "preds.jsonl").read_text() == (
+            '{"sample_id": "r0", "base": [0.5, 0.3, 0.2], "with_context": null, "fused": null, "delta": 0.2, '
+            '"is_hard": true, "final_label": "negative", "strategy": "cf", "knowledge_type": null}\n'
+            '{"sample_id": "r1", "base": [0.5, 0.3, 0.2], "with_context": [0.2, 0.3, 0.5], "fused": [0.35, 0.3, 0.35], '
+            '"delta": 0.2, "is_hard": true, "final_label": "negative", "strategy": "cf", '
+            '"knowledge_type": "historical"}\n'
+        )
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -1,15 +1,19 @@
+import json
 import math
 import random
 
 import pytest
 
-from conftest import make_mock_backend, make_samples
-from ctxsent.classifier import predict_batch
+from conftest import make_mock_backend, make_samples, write_config
+from ctxsent.classifier import ClassifierOutput, predict_batch, write_outputs
+from ctxsent.cli import cmd_compare_types, cmd_evaluate, cmd_fuse, cmd_sweep, load_config
 from ctxsent.datamodel import (
     POLARITIES,
     PolarityDistribution,
     PredictionRecord,
+    Sample,
     argmax_label,
+    write_samples,
 )
 from ctxsent.evaluate import (
     SweepResult,
@@ -19,10 +23,10 @@ from ctxsent.evaluate import (
     default_entropy_edges,
     entropy,
     error_rate_by_entropy,
-    knowledge_rows_to_csv,
+    rows_to_csv,
     sweep,
 )
-from ctxsent.fusion import FusionConfig, fuse_records
+from ctxsent.fusion import FusionConfig, base_records, fuse_records
 from ctxsent.prompts import registry_templates
 
 NEG, NEU, POS = POLARITIES
@@ -245,19 +249,25 @@ class TestSweep:
         with pytest.raises(ValueError, match="non-empty"):
             sweep(base, ctx, golds, alpha_grid=[], beta_grid=[0.1])
 
-    def test_result_validation_rejects_wrong_selection(self):
-        grid = (GridPoint(alpha=0.3, beta=0.1, macro_f1=0.5), GridPoint(alpha=0.3, beta=0.2, macro_f1=0.7))
-        with pytest.raises(ValueError, match="maximum"):
-            SweepResult(grid=grid, selected_alpha=0.3, selected_beta=0.1, selected_f1=0.5, rule="full-grid")
-
     def test_tie_breaks_prefer_smaller_beta_then_alpha(self):
         grid = (
+            GridPoint(alpha=0.1, beta=0.1, macro_f1=0.5),
             GridPoint(alpha=0.4, beta=0.2, macro_f1=0.7),
             GridPoint(alpha=0.2, beta=0.2, macro_f1=0.7),
             GridPoint(alpha=0.1, beta=0.5, macro_f1=0.7),
         )
-        result = SweepResult(grid=grid, selected_alpha=0.2, selected_beta=0.2, selected_f1=0.7, rule="full-grid")
-        assert result.selected_beta == 0.2 and result.selected_alpha == 0.2
+        result = SweepResult(grid=grid, rule="full-grid")
+        assert (result.selected_alpha, result.selected_beta, result.selected_f1) == (0.2, 0.2, 0.7)
+
+    def test_two_phase_carries_the_smallest_tied_beta(self):
+        # A top-two gap of 0.5 is not hard at the fixed alpha 0.3, so every
+        # phase-one beta keeps the base labels and ties on macro-F1.
+        confident = PolarityDistribution((0.7, 0.2, 0.1))
+        outputs = [ClassifierOutput("a", confident, None), ClassifierOutput("b", confident, None)]
+        result = sweep(outputs, outputs, {"a": NEG, "b": NEU}, alpha_grid=[0.1, 0.3], beta_grid=[0.9, 0.5, 0.2])
+        assert [(g.alpha, g.beta) for g in result.grid] == [(0.3, 0.9), (0.3, 0.5), (0.3, 0.2), (0.1, 0.2)]
+        assert len({g.macro_f1 for g in result.grid}) == 1
+        assert (result.selected_alpha, result.selected_beta) == (0.1, 0.2)
 
 
 class TestCompareKnowledgeTypes:
@@ -301,7 +311,69 @@ class TestCompareKnowledgeTypes:
         golds = {f"s{i}": POLARITIES[i % 3] for i in range(3)}
         records = self._records_for(golds)
         rows = compare_knowledge_types(records, {"historical": records}, golds)
-        text = knowledge_rows_to_csv(rows)
+        text = rows_to_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0] == "knowledge_type,accuracy,macro_f1,n"
         assert len(lines) == 3
+
+
+class TestReportFiles:
+    def test_report_files_are_pinned(self, tmp_path):
+        # The reports are sorted-key JSON and each grid CSV has one column per
+        # field of its row dataclass, so a renamed field or a reordered CSV
+        # column fails here.
+        sweep_spec = {"mode": "full-grid", "alpha_grid": [0.3], "beta_grid": [0.0, 0.5]}
+        config = load_config(write_config(tmp_path / "config.json", sweep=sweep_spec))
+        golds = (NEG, NEG, NEU, POS)
+        samples = [Sample(id=f"s{i}", split="test", sentence=f"Sentence {i}.", gold=g) for i, g in enumerate(golds)]
+        # Only s1 is hard at alpha 0.3, and only its context answer differs from the base one.
+        dists = [(0.8, 0.1, 0.1), (0.4, 0.5, 0.1), (0.1, 0.8, 0.1), (0.1, 0.1, 0.8)]
+        ctx_dists = [dists[0], (0.9, 0.05, 0.05), *dists[2:]]
+        base = [ClassifierOutput(s.id, PolarityDistribution(d), None) for s, d in zip(samples, dists)]
+        ctx = [ClassifierOutput(s.id, PolarityDistribution(d), None) for s, d in zip(samples, ctx_dists)]
+        run = tmp_path / "out" / "run"
+        run.mkdir(parents=True)
+        write_samples(run / "samples.jsonl", samples)
+        write_outputs(run / "predictions.base.jsonl", base)
+        write_outputs(run / "predictions.historical.jsonl", ctx)
+        cmd_evaluate(config, samples, base_records(base, alpha=0.3), run / "predictions.base.jsonl")
+        cmd_sweep(config, samples, base, ctx, "historical")
+        cmd_compare_types(config, samples, base, {"historical": cmd_fuse(config, base, ctx, "historical")})
+
+        def json_text(payload):
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+        five_sixths, two_thirds, f1 = 0.8333333333333334, 0.6666666666666666, 0.7777777777777777
+        assert (run / "metrics.predictions.base.json").read_text() == json_text({
+            "accuracy": 0.75, "macro_f1": f1, "macro_precision": five_sixths, "macro_recall": five_sixths, "n": 4,
+            "per_class": {
+                "negative": {"f1": two_thirds, "precision": 1.0, "recall": 0.5, "support": 2},
+                "neutral": {"f1": two_thirds, "precision": 0.5, "recall": 1.0, "support": 1},
+                "positive": {"f1": 1.0, "precision": 1.0, "recall": 1.0, "support": 1},
+            },
+        })
+        edges = [
+            0.0, 0.1981203125901445, 0.396240625180289, 0.5943609377704335, 0.792481250360578,
+            0.9906015629507225, 1.188721875540867, 1.3868421881310116, 1.584962500721156,
+        ]
+        none4 = [None] * 4
+        assert (run / "entropy.predictions.base.json").read_text() == json_text({
+            "all": {
+                "alpha": 0.3, "counts": [0, 0, 0, 0, 3, 0, 1, 0], "edges": edges, "entropy_base": 2,
+                "error_rates": [*none4, 0.0, None, 1.0, None], "hard_only": False, "n": 4,
+            },
+            "hard": {
+                "alpha": 0.3, "counts": [0, 0, 0, 0, 0, 0, 1, 0], "edges": edges, "entropy_base": 2,
+                "error_rates": [*none4, None, None, 1.0, None], "hard_only": True, "n": 1,
+            },
+        })
+        assert (run / "sweep.historical.json").read_text() == json_text({
+            "grid": [{"alpha": 0.3, "beta": 0.0, "macro_f1": f1}, {"alpha": 0.3, "beta": 0.5, "macro_f1": 1.0}],
+            "rule": "full-grid", "selected_alpha": 0.3, "selected_beta": 0.5, "selected_f1": 1.0,
+        })
+        assert (run / "sweep.historical.csv").read_text() == (
+            "alpha,beta,macro_f1\n0.3,0.0,0.7777777777777777\n0.3,0.5,1.0\n"
+        )
+        assert (run / "knowledge_types.csv").read_text() == (
+            "knowledge_type,accuracy,macro_f1,n\nbase,0.75,0.7777777777777777,4\nhistorical,1.0,1.0,4\n"
+        )
