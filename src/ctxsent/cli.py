@@ -126,13 +126,35 @@ def _to_bool(value: Any) -> bool:
     return value
 
 
+def _to_strings(values: Any) -> tuple[str, ...]:
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+        raise ValueError(f"expected a list of strings, got {values!r}")
+    return tuple(values)
+
+
+def _to_mapping(value: Any) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"must be an object, got {value!r}")
+    return value
+
+
 # Config values converted by their field's annotation; any other field takes its value as given.
 _COERCIONS: dict[Any, Callable[[Any], Any]] = {
     float: float,
     int: _to_int,
     bool: _to_bool,
     tuple[float, ...]: lambda values: tuple(float(v) for v in values),
+    tuple[str, ...]: _to_strings,
+    Mapping[str, Any] | None: _to_mapping,
 }
+
+
+def _object(value: Any, where: str) -> Mapping[str, Any]:
+    """A config section as a mapping, null read as an empty one; anything else raises a ConfigurationError."""
+    try:
+        return {} if value is None else _to_mapping(value)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def _coerce(hint: Any, value: Any) -> Any:
@@ -144,16 +166,19 @@ def _coerce(hint: Any, value: Any) -> Any:
     return value if convert is None else convert(value)
 
 
-def _section(cls: type[T], section: Mapping[str, Any], where: str, coerce: bool = True, **derived: Any) -> T:
+def _section(cls: type[T], section: Any, where: str, coerce: bool = True, **derived: Any) -> T:
     """Build the dataclass cls from one config section.
 
     The section's keys are cls's fields less the derived ones, which the
     caller computes, so each setting is named once, in its dataclass. An
     absent key keeps the field's default. With coerce, a value whose field is
-    a float, int, bool or float tuple is converted to that type, and a value
-    the field cannot hold, null included unless the field is optional, raises
-    a ConfigurationError naming where.key.
+    a float, int, bool, float tuple, string tuple or mapping is converted to
+    or checked as that type, and a value the field cannot hold, null
+    included unless the field is optional, raises a ConfigurationError naming
+    where.key. A null section reads as empty; one that is not an object
+    raises a ConfigurationError naming where.
     """
+    section = _object(section, where)
     unknown = set(section) - {f.name for f in fields(cls) if f.name not in derived}
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
@@ -169,8 +194,8 @@ def _section(cls: type[T], section: Mapping[str, Any], where: str, coerce: bool 
     return cls(**values, **derived)
 
 
-def _backend(raw: Mapping[str, Any] | None, default_model: str) -> BackendConfig:
-    section = {"kind": "mock", "model_id": default_model, **(raw or {})}
+def _backend(value: Any, name: str, default_model: str) -> BackendConfig:
+    section = {"kind": "mock", "model_id": default_model, **_object(value, name)}
     if section.get("mock") is not None:
         # Mock values pass through as written: backend_cache_key covers them.
         section["mock"] = _section(MockOracleParams, section["mock"], "backend.mock", coerce=False)
@@ -178,18 +203,22 @@ def _backend(raw: Mapping[str, Any] | None, default_model: str) -> BackendConfig
 
 
 def build_config(raw: Mapping[str, Any]) -> RunConfig:
-    dataset = raw.get("dataset")
-    if not dataset or "path" not in dataset:
+    dataset = _object(raw.get("dataset"), "dataset")
+    if "path" not in dataset:
         raise ConfigurationError("config requires dataset.path")
+    knowledge_types = raw.get("knowledge_types")
+    if knowledge_types in (None, []):
+        # Absent, null or empty runs the default type; anything else must be a list of strings.
+        knowledge_types = RunConfig.knowledge_types
     # The hash identifies the computation, so placement-only keys stay out of it.
     hashed = {k: v for k, v in raw.items() if k not in ("out_dir", "run_id")}
     sections = {
         "dataset": _section(DatasetSpec, dataset, "dataset"),
-        "generator_backend": _backend(raw.get("generator_backend"), "mock-generator"),
-        "classifier_backend": _backend(raw.get("classifier_backend"), "mock-classifier"),
-        "fusion": _section(FusionConfig, raw.get("fusion") or {}, "fusion"),
-        "sweep": _section(SweepSpec, raw.get("sweep") or {}, "sweep"),
-        "knowledge_types": tuple(raw.get("knowledge_types") or RunConfig.knowledge_types),
+        "generator_backend": _backend(raw.get("generator_backend"), "generator_backend", "mock-generator"),
+        "classifier_backend": _backend(raw.get("classifier_backend"), "classifier_backend", "mock-classifier"),
+        "fusion": _section(FusionConfig, raw.get("fusion"), "fusion"),
+        "sweep": _section(SweepSpec, raw.get("sweep"), "sweep"),
+        "knowledge_types": knowledge_types,
     }
     config_hash = stable_digest(json.dumps(hashed, sort_keys=True))
     return _section(RunConfig, {**raw, **sections}, "config", config_hash=config_hash)
@@ -203,15 +232,16 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc.msg})") from None
+    raw = _object(raw, "config")
     if overrides:
         for key, value in overrides.items():
             if value is None:
                 continue
             if key in ("alpha", "beta", "strategy"):
-                raw["fusion"] = {**(raw.get("fusion") or {}), key: value}
+                raw["fusion"] = {**_object(raw.get("fusion"), "fusion"), key: value}
             elif key == "backend":
                 for section in ("generator_backend", "classifier_backend"):
-                    raw[section] = {**(raw.get(section) or {}), "kind": value}
+                    raw[section] = {**_object(raw.get(section), section), "kind": value}
             elif key == "out":
                 raw["out_dir"] = value
             else:

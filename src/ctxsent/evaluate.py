@@ -7,9 +7,14 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .classifier import ClassifierOutput
 from .datamodel import LABELS, POLARITIES, DatasetError, Polarity, PolarityDistribution, PredictionRecord
-from .fusion import FusionConfig, fuse_records, is_hard
+from .fusion import FusionConfig, fuse_arrays, fusion_columns, is_hard, match_context
+
+# Bound here though unused: perfbench/tracing.py wraps evaluate.fuse_records by name.
+from .fusion import fuse_records  # noqa: F401
 
 MAX_ENTROPY_BITS = math.log2(3.0)
 
@@ -58,13 +63,18 @@ def gold_labels(ids: Sequence[str], golds: Mapping[str, Polarity]) -> list[Polar
 def compute_metrics(golds: Sequence[Polarity], preds: Sequence[Polarity]) -> MetricsReport:
     if len(golds) != len(preds):
         raise ValueError(f"gold/prediction length mismatch: {len(golds)} vs {len(preds)}")
-    if not golds:
-        raise ValueError("cannot compute metrics on empty input")
-    n = len(golds)
     # confusion[gold][predicted], filled in one pass over the labels.
     confusion = [[0, 0, 0] for _ in POLARITIES]
     for g, p in zip(golds, preds):
         confusion[g.index][p.index] += 1
+    return metrics_from_confusion(confusion)
+
+
+def metrics_from_confusion(confusion: Sequence[Sequence[int]]) -> MetricsReport:
+    """The report for a 3x3 table of counts, confusion[gold][predicted]."""
+    n = sum(map(sum, confusion))
+    if not n:
+        raise ValueError("cannot compute metrics on empty input")
     per_class = []
     for i in range(len(POLARITIES)):
         tp = confusion[i][i]
@@ -207,17 +217,20 @@ def sweep(
     applies. two-phase first sweeps beta at the fixed alpha, then sweeps
     alpha at the best beta; full-grid evaluates the product grid. Selection
     is the argmax over all evaluated points with the documented tie-breaking.
+    The columns are built once; each point costs one fuse_arrays call and a
+    3x3 confusion table, and builds no records.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     if not alpha_grid or not beta_grid:
         raise ValueError("alpha_grid and beta_grid must be non-empty")
-    gold_list = gold_labels([o.sample_id for o in base_outputs], golds)
+    gold = np.array([g.index for g in gold_labels([o.sample_id for o in base_outputs], golds)], dtype=np.int64)
+    columns = fusion_columns(base_outputs, match_context(base_outputs, ctx_outputs))
 
     def evaluate_point(alpha: float, beta: float) -> GridPoint:
-        records = fuse_records(base_outputs, ctx_outputs, replace(fusion, alpha=alpha, beta=beta))
-        report = compute_metrics(gold_list, [r.final_label for r in records])
-        return GridPoint(alpha=alpha, beta=beta, macro_f1=report.macro_f1)
+        labels = fuse_arrays(columns, replace(fusion, alpha=alpha, beta=beta)).labels
+        confusion = np.bincount(gold * 3 + labels, minlength=9).reshape(3, 3).tolist()
+        return GridPoint(alpha=alpha, beta=beta, macro_f1=metrics_from_confusion(confusion).macro_f1)
 
     points: list[GridPoint] = []
     if mode == "full-grid":

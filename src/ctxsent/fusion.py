@@ -4,16 +4,26 @@ The default strategy interpolates the base distribution toward the
 context-conditioned one, but only for hard samples, i.e. those whose top-two
 probabilities are close. Alternative strategies (average, max, js, cxmi) apply
 to every sample unless explicitly composed with the gate.
+
+fuse_arrays runs the gate and every strategy over (n, 3) float64 columns;
+fuse_records and the sweep go through it. The per-distribution functions
+(delta, is_hard, apply_strategy and the fuse_* strategies) are the scalar
+reference it matches bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .classifier import ClassifierOutput
 from .datamodel import (
+    POLARITIES,
+    PROB_TOLERANCE,
     Polarity,
     PolarityDistribution,
     PredictionRecord,
@@ -111,7 +121,10 @@ def js_divergence(p: PolarityDistribution, q: PolarityDistribution) -> float:
     Clamped against the tiny negative values cancellation can produce for
     near-identical inputs.
     """
+    return _js(p.probs, q.probs)
 
+
+def _js(p: Sequence[float], q: Sequence[float]) -> float:
     def kl(a: Sequence[float], m: Sequence[float]) -> float:
         total = 0.0
         for ai, mi in zip(a, m):
@@ -119,8 +132,8 @@ def js_divergence(p: PolarityDistribution, q: PolarityDistribution) -> float:
                 total += ai * math.log2(ai / mi)
         return total
 
-    mid = [(a + b) / 2.0 for a, b in zip(p.probs, q.probs)]
-    return min(1.0, max(0.0, 0.5 * kl(p.probs, mid) + 0.5 * kl(q.probs, mid)))
+    mid = [(a + b) / 2.0 for a, b in zip(p, q)]
+    return min(1.0, max(0.0, 0.5 * kl(p, mid) + 0.5 * kl(q, mid)))
 
 
 def fuse_js(p: PolarityDistribution, p_hat: PolarityDistribution) -> PolarityDistribution:
@@ -181,31 +194,130 @@ def apply_strategy(
     return FusedResult(fused=fused, final_label=argmax_label(fused), is_hard=hard, delta=gap)
 
 
-def fuse_pair(
-    base: ClassifierOutput,
-    ctx: ClassifierOutput | None,
-    config: FusionConfig,
-    knowledge_type: str | None = None,
-) -> PredictionRecord:
-    """Fuse one sample's base and context-conditioned outputs into a record."""
-    with_context = ctx.dist if ctx is not None else None
-    try:
-        result = apply_strategy(base.dist, with_context, config)
-    except ValueError as exc:
-        raise ValueError(f"sample {base.sample_id!r}: {exc}") from None
-    if knowledge_type is None and ctx is not None:
-        knowledge_type = ctx.conditioned_on
-    return PredictionRecord(
-        sample_id=base.sample_id,
-        base=base.dist,
-        with_context=with_context,
-        fused=result.fused,
-        delta=result.delta,
-        is_hard=result.is_hard,
-        final_label=result.final_label,
-        strategy=config.strategy,
-        knowledge_type=knowledge_type,
+@dataclass(frozen=True, eq=False)
+class FusionColumns:
+    """One prediction set as columns, in base order, for fuse_arrays.
+
+    base and ctx are (n, 3) float64 rows; where has_ctx is False the sample
+    has no context-conditioned prediction and its ctx row repeats its base
+    row. gap is delta of each base row. ids name the rows in error messages.
+    """
+
+    ids: tuple[str, ...]
+    base: np.ndarray
+    ctx: np.ndarray
+    has_ctx: np.ndarray
+    gap: np.ndarray
+
+    @cached_property
+    def js_weight(self) -> np.ndarray:
+        """js_divergence of each base row from uniform, through math.log2.
+
+        np.log2 differs from math.log2 in the last bit on some inputs, which
+        would change fused js rows, so the weight stays a per-row scalar
+        computation, made once per set of columns.
+        """
+        uniform = PolarityDistribution.uniform().probs
+        return np.array([_js(row, uniform) for row in self.base.tolist()], dtype=np.float64)
+
+
+@dataclass(frozen=True, eq=False)
+class FusedColumns:
+    """fuse_arrays' result: per row the gap, the gate, the fused row and its argmax label index."""
+
+    gap: np.ndarray
+    hard: np.ndarray
+    fused: np.ndarray
+    labels: np.ndarray
+
+
+def fusion_columns(
+    base_outputs: Sequence[ClassifierOutput], ctx_outputs: Sequence[ClassifierOutput | None]
+) -> FusionColumns:
+    """Columns for base outputs and their context outputs, aligned row for row (None where there is none)."""
+    base = np.array([o.dist.probs for o in base_outputs], dtype=np.float64).reshape(-1, 3)
+    ctx = np.array(
+        [c.dist.probs if c is not None else o.dist.probs for o, c in zip(base_outputs, ctx_outputs)],
+        dtype=np.float64,
+    ).reshape(-1, 3)
+    return FusionColumns(
+        ids=tuple(o.sample_id for o in base_outputs),
+        base=base,
+        ctx=ctx,
+        has_ctx=np.array([c is not None for c in ctx_outputs], dtype=bool),
+        gap=np.clip(2.0 * base.max(axis=1) + base.min(axis=1) - 1.0, 0.0, 1.0),
     )
+
+
+def match_context(
+    base_outputs: Sequence[ClassifierOutput], ctx_outputs: Sequence[ClassifierOutput]
+) -> list[ClassifierOutput | None]:
+    """Each base output's context-conditioned output, joined by sample id; None where there is none."""
+    by_id = {o.sample_id: o for o in ctx_outputs}
+    return [by_id.get(o.sample_id) for o in base_outputs]
+
+
+def _mix(a: np.ndarray, b: np.ndarray, weight: float | np.ndarray) -> np.ndarray:
+    """Rows of a + weight * (b - a); weight 0 keeps a and weight 1 takes b exactly, as _interpolate does."""
+    return np.where(weight == 0.0, a, np.where(weight == 1.0, b, a + weight * (b - a)))
+
+
+def _valid_rows(rows: np.ndarray) -> np.ndarray:
+    """Per row, whether PolarityDistribution accepts it: the same tests in the same arithmetic."""
+    total = rows[:, 0] + rows[:, 1] + rows[:, 2]
+    return (
+        np.isfinite(rows).all(axis=1)
+        & ((rows >= -PROB_TOLERANCE) & (rows <= 1.0 + PROB_TOLERANCE)).all(axis=1)
+        & (np.abs(total - 1.0) <= PROB_TOLERANCE)
+    )
+
+
+def _strategy_rows(columns: FusionColumns, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every row fused by the configured strategy, and per row whether the scalar path would accept it."""
+    a, b = columns.base, columns.ctx
+    if config.strategy == "cf":
+        mixed = _mix(a, b, config.beta)
+    elif config.strategy == "average":
+        mixed = (a + b) / 2.0
+    elif config.strategy == "js":
+        mixed = _mix(a, b, columns.js_weight[:, None])
+    elif config.strategy == "cxmi":
+        j = a.argmax(axis=1)
+        rows = np.arange(len(a))
+        keep = a[rows, j] / np.maximum(b[rows, j], _CXMI_FLOOR) > config.cxmi_threshold
+        mixed = np.where(keep[:, None], a, b)
+    else:
+        # Python's max(a, b) keeps a unless b is larger; np.maximum differs on signed zeros.
+        m = np.where(b > a, b, a)
+        total = m[:, 0] + m[:, 1] + m[:, 2]
+        normalizable = (m >= 0.0).all(axis=1) & (total > 0.0)
+        mixed = m / np.where(normalizable, total, 1.0)[:, None]
+        return mixed, normalizable & _valid_rows(mixed)
+    return mixed, _valid_rows(mixed)
+
+
+def fuse_arrays(columns: FusionColumns, config: FusionConfig) -> FusedColumns:
+    """apply_strategy over every row at once, with the same floating-point operations in the same order.
+
+    The results equal apply_strategy's bit for bit, and labels are argmax
+    indices with ties to the lowest. Rows the gate leaves out pass through
+    as base rows and need no context prediction. The first row in input
+    order that apply_strategy would reject (a gated-in sample without a
+    context prediction, or a fused row that is not a distribution) raises
+    apply_strategy's own ValueError for it, prefixed with the sample id.
+    """
+    hard = columns.gap <= config.alpha
+    gated_in = hard if config.strategy == "cf" or config.gate_alternatives else np.ones_like(hard)
+    mixed, valid = _strategy_rows(columns, config)
+    for i in np.flatnonzero(gated_in & ~(columns.has_ctx & valid)):
+        p = PolarityDistribution(tuple(columns.base[i].tolist()))
+        p_hat = PolarityDistribution(tuple(columns.ctx[i].tolist())) if columns.has_ctx[i] else None
+        try:
+            apply_strategy(p, p_hat, config)
+        except ValueError as exc:
+            raise ValueError(f"sample {columns.ids[i]!r}: {exc}") from None
+    fused = np.where(gated_in[:, None], mixed, columns.base)
+    return FusedColumns(gap=columns.gap, hard=hard, fused=fused, labels=fused.argmax(axis=1))
 
 
 def fuse_records(
@@ -214,9 +326,44 @@ def fuse_records(
     config: FusionConfig,
     knowledge_type: str | None = None,
 ) -> list[PredictionRecord]:
-    """Join base and context outputs by sample id and fuse each pair."""
-    by_id = {o.sample_id: o for o in ctx_outputs}
-    return [fuse_pair(base, by_id.get(base.sample_id), config, knowledge_type) for base in base_outputs]
+    """Join base and context outputs by sample id, fuse them in one fuse_arrays call, and build the records.
+
+    A record's knowledge type is the one given, else its context output's
+    conditioned_on. A fused row bit-equal to its base or context row keeps
+    that input's distribution object, as apply_strategy returns it.
+    """
+    ctx = match_context(base_outputs, ctx_outputs)
+    columns = fusion_columns(base_outputs, ctx)
+    result = fuse_arrays(columns, config)
+    bits = result.fused.view(np.int64)
+    is_base = (bits == columns.base.view(np.int64)).all(axis=1).tolist()
+    is_ctx = (columns.has_ctx & (bits == columns.ctx.view(np.int64)).all(axis=1)).tolist()
+    rows = zip(result.fused.tolist(), result.gap.tolist(), result.hard.tolist(), result.labels.tolist(), is_base, is_ctx)
+    records = []
+    for base, ctx_out, (row, gap, hard, label, from_base, from_ctx) in zip(base_outputs, ctx, rows):
+        if from_base:
+            fused = base.dist
+        elif from_ctx:
+            fused = ctx_out.dist
+        else:
+            fused = PolarityDistribution(tuple(row))
+        record_type = knowledge_type
+        if record_type is None and ctx_out is not None:
+            record_type = ctx_out.conditioned_on
+        records.append(
+            PredictionRecord(
+                sample_id=base.sample_id,
+                base=base.dist,
+                with_context=ctx_out.dist if ctx_out is not None else None,
+                fused=fused,
+                delta=gap,
+                is_hard=hard,
+                final_label=POLARITIES[label],
+                strategy=config.strategy,
+                knowledge_type=record_type,
+            )
+        )
+    return records
 
 
 def base_records(base_outputs: Sequence[ClassifierOutput], alpha: float = 0.3) -> list[PredictionRecord]:

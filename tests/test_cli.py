@@ -61,12 +61,27 @@ class TestConfig:
             ({"seed": None}, "config.seed: must not be null"),
             ({"seed": 2.7}, "config.seed: expected a whole number, got 2.7"),
             ({"fusion": {"gate_alternatives": "false"}}, "fusion.gate_alternatives: expected true or false, got 'false'"),
+            ({"fusion": 5}, "fusion: must be an object, got 5"),
+            ({"fusion": 5, "--alpha": 0.2}, "fusion: must be an object, got 5"),
+            ({"sweep": [1]}, "sweep: must be an object, got [1]"),
+            ({"dataset": "x.jsonl"}, "dataset: must be an object, got 'x.jsonl'"),
+            ({"dataset": {"path": "x.jsonl", "column_map": 3}}, "dataset.column_map: must be an object, got 3"),
+            ({"generator_backend": 5}, "generator_backend: must be an object, got 5"),
+            ({"classifier_backend": [], "--backend": "mock"}, "classifier_backend: must be an object, got []"),
+            ({"generator_backend": {"mock": 5}}, "backend.mock: must be an object, got 5"),
+            ([1, 2], "config: must be an object, got [1, 2]"),
+            ({"knowledge_types": "historical"}, "config.knowledge_types: expected a list of strings, got 'historical'"),
+            ({"knowledge_types": ["historical", 3]}, "config.knowledge_types: expected a list of strings, got ['historical', 3]"),
+            ({"knowledge_types": None}, None),
         ],
     )
     def test_config_table(self, tmp_path, capsys, changes, error):
-        # A key starting with "--" is a command-line override, not a config key.
-        overrides = {key[2:]: value for key, value in changes.items() if key.startswith("--")}
-        path = write_config(tmp_path / "config.json", **{k: v for k, v in changes.items() if not k.startswith("--")})
+        # A key starting with "--" is a command-line override, not a config key; a list row is the whole file.
+        keys = changes if isinstance(changes, dict) else {}
+        overrides = {key[2:]: value for key, value in keys.items() if key.startswith("--")}
+        path = write_config(tmp_path / "config.json", **{k: v for k, v in keys.items() if not k.startswith("--")})
+        if keys is not changes:
+            path.write_text(json.dumps(changes))
         argv = [arg for key, value in overrides.items() for arg in (f"--{key}", value)]
         if error is not None:
             assert _run("ingest", "--config", path, *argv) == 1

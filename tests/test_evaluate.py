@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from ctxsent.evaluate import (
     rows_to_csv,
     sweep,
 )
-from ctxsent.fusion import FusionConfig, base_records, fuse_records
+from ctxsent.fusion import STRATEGIES, FusionConfig, base_records, fuse_records
 from ctxsent.prompts import registry_templates
 
 NEG, NEU, POS = POLARITIES
@@ -205,7 +206,43 @@ def _dev_outputs(n=300, seed=17):
     return base, ctx, golds
 
 
+@pytest.fixture(scope="module")
+def dev_outputs():
+    return _dev_outputs(n=90)
+
+
 class TestSweep:
+    @pytest.mark.parametrize("gate_alternatives", [False, True], ids=["ungated", "gated"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_point_equals_metrics_of_fused_records(self, dev_outputs, strategy, gate_alternatives):
+        base, ctx, golds = dev_outputs
+        fusion = FusionConfig(strategy=strategy, gate_alternatives=gate_alternatives)
+        grid = [0.0, 0.2, 0.5, 1.0]
+        result = sweep(base, ctx, golds, alpha_grid=grid, beta_grid=grid, fusion=fusion, mode="full-grid")
+        assert len(result.grid) == 16
+        for point in result.grid:
+            records = fuse_records(base, ctx, replace(fusion, alpha=point.alpha, beta=point.beta))
+            report = compute_metrics([golds[r.sample_id] for r in records], [r.final_label for r in records])
+            assert point.macro_f1 == report.macro_f1
+
+    @pytest.mark.parametrize("strategy", ["cf", "js"])
+    def test_distributions_built_do_not_grow_with_the_grid(self, dev_outputs, monkeypatch, strategy):
+        base, ctx, golds = dev_outputs
+        built = []
+        check = PolarityDistribution.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(PolarityDistribution, "__post_init__", counting)
+        counts = []
+        for alphas, betas in (([0.3], [0.45]), ([0.1, 0.2, 0.3, 0.4, 0.5], [i / 10 for i in range(10)])):
+            built.clear()
+            sweep(base, ctx, golds, alphas, betas, fusion=FusionConfig(strategy=strategy), mode="full-grid")
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
     def test_beta_zero_point_equals_base_f1(self):
         base, ctx, golds = _dev_outputs()
         result = sweep(base, ctx, golds, alpha_grid=[0.3], beta_grid=[0.0], mode="full-grid")

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxsent.classifier import ClassifierOutput, softmax
@@ -18,7 +18,6 @@ from ctxsent.fusion import (
     fuse_cxmi,
     fuse_js,
     fuse_max,
-    fuse_pair,
     fuse_records,
     is_hard,
     js_divergence,
@@ -247,9 +246,9 @@ class TestApplyStrategyAndRecords:
         result = apply_strategy(confident, other, FusionConfig(strategy="average", gate_alternatives=True))
         assert result.fused is confident
 
-    def test_fuse_pair_builds_record(self):
+    def test_fuse_records_builds_one_record(self):
         base, ctx = self._outputs()
-        record = fuse_pair(base, ctx, FusionConfig(alpha=0.3, beta=0.5), knowledge_type="historical")
+        [record] = fuse_records([base], [ctx], FusionConfig(alpha=0.3, beta=0.5), knowledge_type="historical")
         assert record.sample_id == "a"
         assert record.base == base.dist
         assert record.with_context == ctx.dist
@@ -257,14 +256,14 @@ class TestApplyStrategyAndRecords:
         assert record.is_hard == (record.delta <= 0.3)
         assert record.final_label is argmax_label(record.fused)
 
-    def test_fuse_pair_missing_context_for_hard_sample(self):
+    def test_fuse_records_missing_context_for_hard_sample(self):
         base, _ = self._outputs()
         with pytest.raises(ValueError, match="context"):
-            fuse_pair(base, None, FusionConfig(alpha=0.3))
+            fuse_records([base], [], FusionConfig(alpha=0.3))
 
-    def test_fuse_pair_missing_context_easy_sample_ok(self):
+    def test_fuse_records_missing_context_easy_sample_ok(self):
         easy = ClassifierOutput(sample_id="a", dist=PolarityDistribution((0.9, 0.05, 0.05)), raw=None)
-        record = fuse_pair(easy, None, FusionConfig(alpha=0.3))
+        [record] = fuse_records([easy], [], FusionConfig(alpha=0.3))
         assert record.fused == easy.dist
         assert record.with_context is None
 
@@ -296,14 +295,124 @@ def test_gate_rule_table(strategy, gate_alternatives, hard, with_context):
         ctx = ClassifierOutput(sample_id="a", dist=PolarityDistribution((0.1, 0.8, 0.1)), raw=None)
     assert is_hard(p, config.alpha) == (delta(p) <= config.alpha) == hard
     gate_open = hard or (strategy != "cf" and not gate_alternatives)
+    ctx_outputs = [ctx] if ctx else []
     if gate_open and ctx is None:
         with pytest.raises(ValueError, match="'a'.*needs a context-conditioned prediction"):
-            fuse_pair(base, ctx, config)
+            fuse_records([base], ctx_outputs, config)
         return
-    record = fuse_pair(base, ctx, config)
+    [record] = fuse_records([base], ctx_outputs, config)
     assert record.is_hard == hard
     assert record.delta == delta(p)
     assert record.with_context == (ctx.dist if ctx else None)
     if not gate_open:
         assert record.fused is p
         assert record.final_label is argmax_label(p)
+
+
+# Rows with exact ties, one-hot rows and zero entries (-0.0 too), beside arbitrary ones.
+_EDGE_ROWS = [
+    (0.5, -0.0, 0.5),
+    (-0.0, 0.0, 1.0),
+    (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+    (0.5, 0.5, 0.0),
+    (0.0, 0.5, 0.5),
+    (0.5, 0.0, 0.5),
+    (0.4, 0.4, 0.2),
+    (0.2, 0.4, 0.4),
+    (0.3, 0.35, 0.35),
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0),
+]
+row_strategy = st.one_of(
+    st.sampled_from(_EDGE_ROWS).map(PolarityDistribution),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=3)
+    .filter(lambda values: sum(values) > 0.0)
+    .map(PolarityDistribution.normalized),
+)
+knob_strategy = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _bits(values) -> tuple[str, ...]:
+    # float.hex tells -0.0 from 0.0, so equal hex strings mean equal bits.
+    return tuple(float(x).hex() for x in values)
+
+
+@pytest.mark.parametrize("gate_alternatives", [False, True], ids=["ungated", "gated"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=40)
+@given(
+    # The context row is missing where the integer is 0, about one row in four.
+    pairs=st.lists(st.tuples(row_strategy, row_strategy, st.integers(0, 3)), min_size=1, max_size=8).map(
+        lambda rows: [(p, q if keep else None) for p, q, keep in rows]
+    ),
+    alpha=knob_strategy,
+    beta=knob_strategy,
+)
+# Signed zeros meet at one index (Python's max keeps the first, np.maximum does
+# not), and a cxmi ratio 0.55 / 0.5 equals the default threshold 1.1 exactly.
+@example(
+    pairs=[
+        (PolarityDistribution((0.5, -0.0, 0.5)), PolarityDistribution((0.5, 0.0, 0.5))),
+        (PolarityDistribution((0.5, 0.0, 0.5)), PolarityDistribution((0.5, -0.0, 0.5))),
+        (PolarityDistribution((0.55, 0.25, 0.2)), PolarityDistribution((0.5, 0.3, 0.2))),
+    ],
+    alpha=1.0,
+    beta=0.5,
+)
+def test_fuse_records_matches_apply_strategy(strategy, gate_alternatives, pairs, alpha, beta):
+    """fuse_records runs on arrays; apply_strategy per sample is its reference, bit for bit."""
+    config = FusionConfig(alpha=alpha, beta=beta, strategy=strategy, gate_alternatives=gate_alternatives)
+    base = [ClassifierOutput(f"s{i}", p, None) for i, (p, _) in enumerate(pairs)]
+    ctx = [ClassifierOutput(f"s{i}", q, None) for i, (_, q) in enumerate(pairs) if q is not None]
+    expected = []
+    for i, (p, p_hat) in enumerate(pairs):
+        try:
+            expected.append(apply_strategy(p, p_hat, config))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                fuse_records(base, ctx, config)
+            assert str(raised.value) == f"sample 's{i}': {exc}"
+            return
+    records = fuse_records(base, ctx, config)
+    assert [r.sample_id for r in records] == [o.sample_id for o in base]
+    for record, want in zip(records, expected):
+        assert _bits(record.fused.probs) == _bits(want.fused.probs)
+        assert _bits([record.delta]) == _bits([want.delta])
+        assert record.is_hard is want.is_hard
+        assert record.final_label is want.final_label
+
+
+class TestColumnarErrors:
+    def test_first_missing_context_in_input_order_raises(self):
+        hard = PolarityDistribution((0.4, 0.35, 0.25))
+        base = [ClassifierOutput(i, hard, None) for i in ("a", "b", "c")]
+        ctx = [ClassifierOutput("a", UNIFORM, None)]
+        with pytest.raises(ValueError) as raised:
+            fuse_records(base, ctx, FusionConfig(alpha=0.3))
+        assert str(raised.value) == "sample 'b': strategy 'cf' needs a context-conditioned prediction but none was supplied"
+
+    @pytest.mark.parametrize(
+        "strategy, p, p_hat",
+        [
+            # Both inputs sum to 1 within the tolerance; their mean does not.
+            (
+                "average",
+                (0.17386896875429134, 0.017753312372491635, 0.8083777198732169),
+                (0.3050558929499891, 0.5409741079709517, 0.15397000007905923),
+            ),
+            # Both inputs hold a negative entry within the tolerance, so max cannot normalize.
+            ("max", (-5e-10, 0.5, 0.5 + 5e-10), (-5e-10, 0.5 + 5e-10, 0.5)),
+        ],
+    )
+    def test_invalid_fused_row_raises_the_scalar_error(self, strategy, p, p_hat):
+        config = FusionConfig(alpha=1.0, beta=0.5, strategy=strategy)
+        p, p_hat = PolarityDistribution(p), PolarityDistribution(p_hat)
+        with pytest.raises(ValueError) as scalar:
+            apply_strategy(p, p_hat, config)
+        easy = ClassifierOutput("easy", PolarityDistribution((0.9, 0.05, 0.05)), None)
+        base = [easy, ClassifierOutput("bad", p, None)]
+        ctx = [ClassifierOutput("easy", UNIFORM, None), ClassifierOutput("bad", p_hat, None)]
+        with pytest.raises(ValueError) as columnar:
+            fuse_records(base, ctx, config)
+        assert str(columnar.value) == f"sample 'bad': {scalar.value}"
