@@ -17,13 +17,13 @@ from .datamodel import (
     ContextRecord,
     PolarityDistribution,
     Sample,
-    SchemaError,
-    read_jsonl,
+    _dist_from_list,
+    _read_typed,
+    _text,
+    read_jsonl,  # unused here; perfbench/tracing.py counts rows by rebinding it by name
     write_jsonl,
 )
 from .prompts import render_task_instruction
-
-_LOG_FLOOR = 1e-300
 
 
 def softmax(scores: Sequence[float]) -> PolarityDistribution:
@@ -41,25 +41,15 @@ def softmax(scores: Sequence[float]) -> PolarityDistribution:
 
 @dataclass(frozen=True)
 class ClassifierOutput:
-    """One classification result: distribution plus its raw scores.
+    """One classification result: distribution plus the raw scores it is the softmax of.
 
-    raw is None only when a caller builds an output without scores. Rows
-    imported from external prediction files without raw scores get a
-    synthetic raw vector of log-probabilities, so the softmax relationship
-    still holds.
+    raw is None for outputs of external models that give probabilities only.
     """
 
     sample_id: str
     dist: PolarityDistribution
     raw: ChoiceScores | None
     conditioned_on: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.raw is not None:
-            recovered = softmax(self.raw.scores)
-            drift = max(abs(a - b) for a, b in zip(recovered.probs, self.dist.probs))
-            if drift > 1e-9:
-                raise ValueError(f"dist is not the softmax of raw scores (max drift {drift:.2e})")
 
 
 @dataclass(frozen=True)
@@ -166,28 +156,24 @@ def output_to_dict(output: ClassifierOutput) -> dict:
 
 
 def output_from_dict(row: Mapping) -> ClassifierOutput:
-    """Parse one prediction row.
+    """Parse one prediction row; a bad row raises KeyError, TypeError or ValueError.
 
     External task-specific models plug in here: the minimal schema is
-    {sample_id, probs: [3], conditioned_on}. When raw scores are absent they
-    are reconstructed as log-probabilities.
+    {sample_id, probs: [3], conditioned_on}. Optional raw_scores (with
+    normalization_mode) must softmax to probs within 1e-9.
     """
-    try:
-        dist = PolarityDistribution(tuple(float(v) for v in row["probs"]))
-        sample_id = str(row["sample_id"])
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from None
+    dist = _dist_from_list(row["probs"], "probs")
+    raw = None
     if row.get("raw_scores") is not None:
         raw = ChoiceScores(
             scores=tuple(float(v) for v in row["raw_scores"]),
             normalization_mode=row.get("normalization_mode", "total"),
         )
-    else:
-        raw = ChoiceScores(scores=tuple(math.log(max(p, _LOG_FLOOR)) for p in dist.probs))
+        drift = max(abs(a - b) for a, b in zip(softmax(raw.scores).probs, dist.probs))
+        if drift > 1e-9:
+            raise ValueError(f"probs are not the softmax of raw_scores (max drift {drift:.2e})")
     return ClassifierOutput(
-        sample_id=sample_id, dist=dist, raw=raw, conditioned_on=row.get("conditioned_on")
+        sample_id=_text(row, "sample_id"), dist=dist, raw=raw, conditioned_on=row.get("conditioned_on")
     )
 
 
@@ -196,10 +182,4 @@ def write_outputs(path: str | Path, outputs: Iterable[ClassifierOutput]) -> None
 
 
 def read_outputs(path: str | Path) -> list[ClassifierOutput]:
-    outputs = []
-    for lineno, row in read_jsonl(path):
-        try:
-            outputs.append(output_from_dict(row))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: line {lineno}: {exc}") from None
-    return outputs
+    return _read_typed(path, output_from_dict, "classifier output")

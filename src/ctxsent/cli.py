@@ -23,6 +23,7 @@ from typing import Any, Callable, Mapping, Sequence, TypeVar, get_args, get_type
 
 from . import __version__
 from .backend import (
+    NORMALIZATION_MODES,
     BackendConfig,
     CapabilityError,
     ConfigurationError,
@@ -59,7 +60,9 @@ from .evaluate import (
 )
 from .fusion import STRATEGIES, FusionConfig, base_records, fuse_records
 from .prompts import (
+    LEVELS,
     PromptTemplate,
+    TemplateError,
     get_template,
     load_template_file,
     render_context_prompt,
@@ -221,7 +224,24 @@ def build_config(raw: Mapping[str, Any]) -> RunConfig:
         "knowledge_types": knowledge_types,
     }
     config_hash = stable_digest(json.dumps(hashed, sort_keys=True))
-    return _section(RunConfig, {**raw, **sections}, "config", config_hash=config_hash)
+    config = _section(RunConfig, {**raw, **sections}, "config", config_hash=config_hash)
+    _check_run_values(config)
+    return config
+
+
+def _check_run_values(config: RunConfig) -> None:
+    """Reject a value no stage can run with, so the error comes before any stage writes a file."""
+    for key, allowed in (("level", LEVELS), ("score_normalization", NORMALIZATION_MODES)):
+        value = getattr(config, key)
+        if value not in allowed:
+            raise ConfigurationError(f"config.{key}: must be one of {allowed}, got {value!r}")
+    for i, knowledge_type in enumerate(config.knowledge_types):
+        if knowledge_type in config.knowledge_types[:i]:
+            raise ConfigurationError(f"config.knowledge_types: {knowledge_type!r} is listed twice")
+        try:
+            _template_for(config, knowledge_type)
+        except TemplateError as exc:
+            raise ConfigurationError(f"config.knowledge_types: {exc}") from None
 
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> RunConfig:
@@ -563,11 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha", type=float, default=None, help="override fusion alpha")
     common.add_argument("--beta", type=float, default=None, help="override fusion beta")
     common.add_argument("--strategy", choices=STRATEGIES, default=None, help="override fusion strategy")
-    common.add_argument(
-        "--knowledge-type",
-        default=None,
-        help="work on this knowledge type only (scope filter; does not change the run id)",
-    )
     common.add_argument("--backend", choices=("mock", "remote"), default=None, help="override backend kind")
     common.add_argument("--out", default=None, help="override the output directory")
     stages = {
@@ -584,6 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
             "pipeline",
         )
     }
+    for name in ("generate-context", "predict", "fuse", "sweep"):
+        stages[name].add_argument(
+            "--knowledge-type",
+            default=None,
+            help="work on this knowledge type only (scope filter; does not change the run id)",
+        )
     stages["predict"].add_argument("--base-only", action="store_true", help="skip context-conditioned predictions")
     stages["evaluate"].add_argument("--predictions", default=None, help="predictions or fused JSONL to score")
     stages["analyze-saliency"].add_argument("--dump", required=True, help="saliency dump JSON file")
@@ -604,7 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         config = load_config(args.config, _overrides(args))
         directory = run_dir(config)
-        active_types = (args.knowledge_type,) if args.knowledge_type else config.knowledge_types
+        active_types = (args.knowledge_type,) if getattr(args, "knowledge_type", None) else config.knowledge_types
 
         def load(name: str, read: Callable[[Path], Any], producer: str) -> Any:
             return read(_require_artifact(directory / name, producer))

@@ -227,6 +227,14 @@ def _dist_from_list(values: Any, where: str) -> PolarityDistribution:
     return PolarityDistribution(tuple(float(v) for v in values))
 
 
+def _text(row: Mapping[str, Any], key: str) -> str:
+    """A required text field; a number becomes its string, since ids may be numeric."""
+    value = row[key]
+    if value is None:
+        raise ValueError(f"field {key!r} must not be null")
+    return str(value)
+
+
 def sample_to_dict(sample: Sample) -> dict[str, Any]:
     row: dict[str, Any] = {"id": sample.id, "split": sample.split, "sentence": sample.sentence}
     if sample.image is not None:
@@ -239,18 +247,14 @@ def sample_to_dict(sample: Sample) -> dict[str, Any]:
 
 
 def sample_from_dict(row: Mapping[str, Any]) -> Sample:
-    try:
-        gold = None if row.get("label") is None else Polarity.from_any(row["label"])
-        return Sample(
-            id=str(row["id"]),
-            split=str(row["split"]),
-            sentence=str(row["sentence"]),
-            image=row.get("image"),
-            aspect=row.get("aspect"),
-            gold=gold,
-        )
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc.args[0]!r}") from None
+    return Sample(
+        id=_text(row, "id"),
+        split=_text(row, "split"),
+        sentence=_text(row, "sentence"),
+        image=row.get("image"),
+        aspect=row.get("aspect"),
+        gold=None if row.get("label") is None else Polarity.from_any(row["label"]),
+    )
 
 
 # Field names computed once; asdict would call fields() and deep-copy every value per record.
@@ -263,10 +267,7 @@ def context_to_dict(record: ContextRecord) -> dict[str, Any]:
 
 
 def context_from_dict(row: Mapping[str, Any]) -> ContextRecord:
-    try:
-        return ContextRecord(**{name: str(row[name]) for name in _CONTEXT_FIELDS})
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc.args[0]!r}") from None
+    return ContextRecord(**{name: _text(row, name) for name in _CONTEXT_FIELDS})
 
 
 def _encode(value: Any) -> Any:
@@ -283,29 +284,34 @@ def prediction_to_dict(record: PredictionRecord) -> dict[str, Any]:
 
 
 def prediction_from_dict(row: Mapping[str, Any]) -> PredictionRecord:
-    try:
-        return PredictionRecord(
-            sample_id=str(row["sample_id"]),
-            base=_dist_from_list(row["base"], "base"),
-            with_context=None if row.get("with_context") is None else _dist_from_list(row["with_context"], "with_context"),
-            fused=None if row.get("fused") is None else _dist_from_list(row["fused"], "fused"),
-            delta=float(row["delta"]),
-            is_hard=bool(row["is_hard"]),
-            final_label=Polarity.from_any(row["final_label"]),
-            strategy=str(row["strategy"]),
-            knowledge_type=row.get("knowledge_type"),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc.args[0]!r}") from None
+    if not isinstance(row["is_hard"], bool):
+        raise ValueError(f"field 'is_hard' must be true or false, got {row['is_hard']!r}")
+    return PredictionRecord(
+        sample_id=_text(row, "sample_id"),
+        base=_dist_from_list(row["base"], "base"),
+        with_context=None if row.get("with_context") is None else _dist_from_list(row["with_context"], "with_context"),
+        fused=None if row.get("fused") is None else _dist_from_list(row["fused"], "fused"),
+        delta=float(row["delta"]),
+        is_hard=row["is_hard"],
+        final_label=Polarity.from_any(row["final_label"]),
+        strategy=_text(row, "strategy"),
+        knowledge_type=row.get("knowledge_type"),
+    )
 
 
 def _read_typed(path: str | Path, parse: Any, what: str) -> list[Any]:
+    """Decode every row of a JSONL file with parse.
+
+    parse raises KeyError for a missing field and TypeError or ValueError for
+    a bad value; the first bad row raises a SchemaError naming file and line.
+    """
     records = []
     for lineno, row in read_jsonl(path):
         try:
             records.append(parse(row))
-        except (SchemaError, DatasetError, ValueError) as exc:
-            raise SchemaError(f"{path}: line {lineno}: bad {what} record: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+            raise SchemaError(f"{path}: line {lineno}: bad {what} record: {reason}") from None
     return records
 
 
@@ -416,7 +422,7 @@ def _ingest_canonical(path: Path, column_map: Mapping[str, Any] | None) -> list[
                 "label": row.get(keys["label"]),
             }
             samples.append(sample_from_dict(renamed))
-        except (KeyError, SchemaError, DatasetError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
             raise DatasetError(f"{path}: row {lineno}: {reason}") from None
     return samples
@@ -446,7 +452,7 @@ def _ingest_twitter_tsv(path: Path, column_map: Mapping[str, Any] | None, split:
                 samples.append(
                     Sample(id=sample_id, split=split, sentence=sentence, image=image, aspect=aspect or None, gold=gold)
                 )
-            except (DatasetError, ValueError, IndexError) as exc:
+            except (TypeError, ValueError, IndexError) as exc:
                 raise DatasetError(f"{path}: row {lineno}: {exc}") from None
     if bad_aspects:
         raise DatasetError(f"{path}: aspect not present in sentence after substitution for ids: {bad_aspects}")
@@ -475,14 +481,13 @@ def _ingest_msed(path: Path, column_map: Mapping[str, Any] | None, split: str) -
                 Sample(
                     id=sample_id,
                     split=split,
-                    sentence=str(row[keys["sentence"]]),
+                    sentence=_text(row, keys["sentence"]),
                     image=row.get(keys["image"]),
                     aspect=None,
                     gold=None if label is None else Polarity.from_any(label),
                 )
             )
-        except KeyError as exc:
-            raise DatasetError(f"{path}: row {rowno}: missing field {exc.args[0]!r}") from None
-        except (DatasetError, ValueError) as exc:
-            raise DatasetError(f"{path}: row {rowno}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+            raise DatasetError(f"{path}: row {rowno}: {reason}") from None
     return samples

@@ -7,10 +7,11 @@ and the pairwise context-comparison (judge) prompt.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from .datamodel import LABELS, Sample
+from typing import Any, Mapping
+
+from .datamodel import LABELS, Sample, _read_typed, _text
 from .digest import stable_digest
 
 PLACEHOLDER = "[x]"
@@ -147,19 +148,11 @@ def get_template(knowledge_type: str) -> PromptTemplate:
 
 def load_template_file(path: str | Path) -> list[PromptTemplate]:
     """Load override templates from a JSONL file of {knowledge_type, body}."""
-    templates = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                templates.append(
-                    PromptTemplate(knowledge_type=str(row["knowledge_type"]), body=str(row["body"]), source="generated")
-                )
-            except (json.JSONDecodeError, KeyError, TemplateError) as exc:
-                raise TemplateError(f"{path}: line {lineno}: {exc}") from None
-    return templates
+
+    def parse(row: Mapping[str, Any]) -> PromptTemplate:
+        return PromptTemplate(knowledge_type=_text(row, "knowledge_type"), body=_text(row, "body"), source="generated")
+
+    return _read_typed(path, parse, "template")
 
 
 def render_context_prompt(

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from conftest import make_mock_backend, make_samples
 from ctxsent.backend import BackendConfig, RemoteBackend, TransportError
 from ctxsent.classifier import (
-    ClassifierOutput,
     output_from_dict,
+    output_to_dict,
     predict,
     predict_batch,
     read_outputs,
     softmax,
     write_outputs,
 )
-from ctxsent.datamodel import ContextRecord, Polarity, PolarityDistribution, Sample, argmax_label
+from ctxsent.datamodel import ContextRecord, Polarity, Sample, argmax_label
 from stubserver import StubServer, scores_responder
 
 finite_scores = st.lists(st.floats(min_value=-50, max_value=50), min_size=3, max_size=3)
@@ -70,14 +70,11 @@ class TestSoftmax:
 
 class TestClassifierOutput:
     def test_dist_must_match_raw(self):
-        from ctxsent.backend import ChoiceScores
-
+        row = {"sample_id": "x", "probs": [0.8, 0.1, 0.1], "conditioned_on": None, "raw_scores": [0.0, 0.0, 0.0]}
         with pytest.raises(ValueError, match="softmax"):
-            ClassifierOutput(
-                sample_id="x",
-                dist=PolarityDistribution((0.8, 0.1, 0.1)),
-                raw=ChoiceScores(scores=(0.0, 0.0, 0.0)),
-            )
+            output_from_dict(row)
+        row["raw_scores"] = [math.log(0.8), math.log(0.1), math.log(0.1)]
+        assert output_from_dict(row).raw.scores == tuple(row["raw_scores"])
 
 
 class TestPredict:
@@ -190,11 +187,11 @@ class TestOutputsIO:
         assert tuple(read_outputs(path)) == outputs
 
     def test_minimal_import_schema(self):
-        output = output_from_dict({"sample_id": "a", "probs": [0.2, 0.3, 0.5], "conditioned_on": None})
+        row = {"sample_id": "a", "probs": [0.2, 0.3, 0.5], "conditioned_on": None}
+        output = output_from_dict(row)
         assert output.dist.probs == (0.2, 0.3, 0.5)
-        assert output.raw is not None
-        recovered = softmax(output.raw.scores)
-        assert recovered.probs == pytest.approx((0.2, 0.3, 0.5), abs=1e-9)
+        assert output.raw is None
+        assert output_to_dict(output) == row
 
     def test_import_handles_zero_probability(self):
         output = output_from_dict({"sample_id": "a", "probs": [1.0, 0.0, 0.0], "conditioned_on": None})

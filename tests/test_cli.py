@@ -6,7 +6,7 @@ import pytest
 
 from conftest import write_config
 from ctxsent.backend import BackendConfig, ResponseCache, TransportError
-from ctxsent.cli import DatasetSpec, RunConfig, SweepSpec, cmd_generate_context, load_config, main
+from ctxsent.cli import DatasetSpec, RunConfig, SweepSpec, build_parser, cmd_generate_context, load_config, main
 from ctxsent.classifier import read_outputs
 from ctxsent.datamodel import read_predictions, read_samples
 from ctxsent.evaluate import compute_metrics
@@ -73,6 +73,12 @@ class TestConfig:
             ({"knowledge_types": "historical"}, "config.knowledge_types: expected a list of strings, got 'historical'"),
             ({"knowledge_types": ["historical", 3]}, "config.knowledge_types: expected a list of strings, got ['historical', 3]"),
             ({"knowledge_types": None}, None),
+            ({"level": "bogus"}, "config.level: must be one of ('sentence', 'aspect'), got 'bogus'"),
+            ({"score_normalization": "bogus"}, "config.score_normalization: must be one of ('total', 'per-token'), got 'bogus'"),
+            ({"knowledge_types": ["historical", "cultural", "historical"]}, "config.knowledge_types: 'historical' is listed twice"),
+            ({"knowledge_types": ["historical", "bogus"]}, "config.knowledge_types: unknown knowledge type 'bogus'; built-ins: "
+             "artistic, biographical, character, cultural, environmental, historical, literary, political, scientific, "
+             "social, financial"),
         ],
     )
     def test_config_table(self, tmp_path, capsys, changes, error):
@@ -87,6 +93,7 @@ class TestConfig:
             assert _run("ingest", "--config", path, *argv) == 1
             report = {"error": {"type": "ConfigurationError", "message": error}}
             assert capsys.readouterr().err.splitlines() == [json.dumps(report)]
+            assert not (tmp_path / "out").exists()
             return
         config = load_config(path, overrides)
         assert _run("ingest", "--config", path, *argv) == 0
@@ -148,6 +155,38 @@ class TestConfig:
         # repr also tells 0 from 0.0, so it checks the coercions that == cannot.
         assert config == expected
         assert repr(config) == repr(expected)
+
+    def test_template_file_types_are_known(self, tmp_path):
+        templates = tmp_path / "templates.jsonl"
+        templates.write_text('{"knowledge_type": "nautical", "body": "Recall the sea. Sentence: [x]"}\n')
+        path = write_config(tmp_path / "config.json", knowledge_types=["nautical"], template_file=str(templates))
+        assert _run("pipeline", "--config", path) == 0
+        assert (tmp_path / "out" / "run" / "fused.cf.nautical.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "command, accepted",
+        [
+            ("generate-context", True),
+            ("predict", True),
+            ("fuse", True),
+            ("sweep", True),
+            ("ingest", False),
+            ("evaluate", False),
+            ("compare-types", False),
+            ("analyze-saliency", False),
+            ("pipeline", False),
+        ],
+    )
+    def test_knowledge_type_only_where_it_narrows(self, command, accepted):
+        argv = [command, "--config", "run.json", "--knowledge-type", "cultural"]
+        if command == "analyze-saliency":
+            argv += ["--dump", "d.json"]
+        if accepted:
+            assert build_parser().parse_args(argv).knowledge_type == "cultural"
+            return
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
 
     def test_knowledge_type_is_scope_filter_not_override(self, tmp_path):
         path = write_config(tmp_path / "config.json", knowledge_types=["historical", "financial"])
@@ -254,6 +293,29 @@ class TestPipelineCommands:
         assert metrics["n"] == 29
         err = capsys.readouterr().err
         assert f"scored 29 of 30 samples; 1 have no prediction (e.g. ['{dropped}'])" in err
+
+    @pytest.mark.parametrize(
+        "name, field, value, reason",
+        [
+            ("fused.cf.historical.jsonl", "delta", None, "bad prediction record: float() argument must be a string or "
+             "a real number, not 'NoneType'"),
+            ("fused.cf.historical.jsonl", "with_context", [0.2, None, 0.8], "bad prediction record: float() argument "
+             "must be a string or a real number, not 'NoneType'"),
+            ("predictions.historical.jsonl", "raw_scores", [0.0, "x", 0.0], "bad classifier output record: could not "
+             "convert string to float: 'x'"),
+        ],
+    )
+    def test_evaluate_rejects_a_bad_row(self, tmp_path, capsys, name, field, value, reason):
+        config_path = write_config(tmp_path / "config.json")
+        assert _run("pipeline", "--config", config_path) == 0
+        path = tmp_path / "out" / "run" / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value}) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert _run("evaluate", "--config", config_path, "--predictions", name) == 1
+        report = {"error": {"type": "SchemaError", "message": f"{path}: line 3: {reason}"}}
+        assert capsys.readouterr().err.splitlines() == [json.dumps(report)]
 
     def test_manifest_contents(self, tmp_path):
         config_path = write_config(tmp_path / "config.json")

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctxsent.classifier import read_outputs
 from ctxsent.datamodel import (
     POLARITIES,
     ContextRecord,
@@ -15,6 +17,7 @@ from ctxsent.datamodel import (
     SchemaError,
     argmax_label,
     ingest_dataset,
+    read_contexts,
     read_predictions,
     read_samples,
     write_contexts,
@@ -112,6 +115,27 @@ class TestCanonicalIngest:
         with pytest.raises(DatasetError, match="row 2"):
             ingest_dataset(path, "canonical-jsonl")
 
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"sentence": None}, "field 'sentence' must not be null"),
+            ({"id": None}, "field 'id' must not be null"),
+            ({"aspect": 5}, "'in <string>' requires string as left operand, not int"),
+        ],
+    )
+    def test_bad_value_names_row(self, tmp_path, changes, reason):
+        path = tmp_path / "data.jsonl"
+        good = {"id": "a", "split": "test", "sentence": "fine day", "aspect": "day"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **changes}) + "\n")
+        with pytest.raises(DatasetError) as info:
+            ingest_dataset(path, "canonical-jsonl")
+        assert str(info.value) == f"{path}: row 2: {reason}"
+
+    def test_numeric_id_becomes_text(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id":7,"split":"test","sentence":"fine"}\n')
+        assert ingest_dataset(path, "canonical-jsonl")[0].id == "7"
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         row = '{"id":"a","split":"test","sentence":"fine","label":1}\n'
@@ -149,6 +173,12 @@ class TestTwitterTsvIngest:
         with pytest.raises(DatasetError, match="row 1"):
             ingest_dataset(path, "twitter-tsv")
 
+    def test_non_index_column_names_row(self, tmp_path):
+        path = tmp_path / "alt.tsv"
+        path.write_text("1\t0\timg.jpg\thello $T$ .\tworld\n")
+        with pytest.raises(DatasetError, match="row 1"):
+            ingest_dataset(path, "twitter-tsv", column_map={"sentence": "text"})
+
     def test_column_map_override(self, tmp_path):
         path = tmp_path / "alt.tsv"
         path.write_text("hello $T$ .\tworld\t1\t42\timg.jpg\n")
@@ -177,6 +207,12 @@ class TestMsedIngest:
         path = tmp_path / "msed.jsonl"
         path.write_text('{"id":"m1","sentiment":"positive"}\n')
         with pytest.raises(DatasetError, match="row 1"):
+            ingest_dataset(path, "msed")
+
+    def test_null_caption_names_row(self, tmp_path):
+        path = tmp_path / "msed.jsonl"
+        path.write_text('{"id":"m1","caption":null,"sentiment":"positive"}\n')
+        with pytest.raises(DatasetError, match="row 1: field 'caption' must not be null"):
             ingest_dataset(path, "msed")
 
 
@@ -265,3 +301,64 @@ class TestJsonl:
         out = tmp_path / "samples.jsonl"
         write_samples(out, samples)
         assert read_samples(out) == samples
+
+
+_LOG_PROBS = [math.log(0.2), math.log(0.3), math.log(0.5)]
+
+# Per reader: a good row, the reader, and the record kind its errors name.
+_GOOD_ROWS = {
+    "sample": ({"id": "s1", "split": "test", "sentence": "fine day", "label": "positive"}, read_samples, "sample"),
+    "context": (
+        {"sample_id": "s1", "knowledge_type": "historical", "model_id": "m", "prompt_hash": "ab", "text": "Ctx.",
+         "created_at": "t0"},
+        read_contexts,
+        "context",
+    ),
+    "prediction": (
+        {"sample_id": "s1", "base": [0.5, 0.3, 0.2], "with_context": [0.2, 0.3, 0.5], "fused": [0.35, 0.3, 0.35],
+         "delta": 0.2, "is_hard": True, "final_label": "negative", "strategy": "cf", "knowledge_type": "historical"},
+        read_predictions,
+        "prediction",
+    ),
+    "output": (
+        {"sample_id": "s1", "probs": [0.2, 0.3, 0.5], "conditioned_on": None, "raw_scores": _LOG_PROBS,
+         "normalization_mode": "total"},
+        read_outputs,
+        "classifier output",
+    ),
+}
+_DROP = object()
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize(
+        "kind, changes, reason",
+        [
+            ("sample", {"sentence": _DROP}, "missing field 'sentence'"),
+            ("sample", {"id": None}, "field 'id' must not be null"),
+            ("sample", {"aspect": 5}, "'in <string>' requires string as left operand, not int"),
+            ("context", {"text": _DROP}, "missing field 'text'"),
+            ("context", {"model_id": None}, "field 'model_id' must not be null"),
+            ("prediction", {"delta": _DROP}, "missing field 'delta'"),
+            ("prediction", {"delta": None}, "float() argument must be a string or a real number, not 'NoneType'"),
+            ("prediction", {"is_hard": None}, "field 'is_hard' must be true or false, got None"),
+            ("prediction", {"strategy": None}, "field 'strategy' must not be null"),
+            ("prediction", {"fused": [0.35, None, 0.35]}, "float() argument must be a string or a real number, not 'NoneType'"),
+            ("prediction", {"base": 0.5}, "base: expected a 3-element probability array, got 0.5"),
+            ("output", {"probs": _DROP}, "missing field 'probs'"),
+            ("output", {"sample_id": None}, "field 'sample_id' must not be null"),
+            ("output", {"probs": [0.2, None, 0.5]}, "float() argument must be a string or a real number, not 'NoneType'"),
+            ("output", {"probs": {"negative": 0.2}}, "probs: expected a 3-element probability array, got {'negative': 0.2}"),
+            ("output", {"raw_scores": [-1.6, "low", -0.7]}, "could not convert string to float: 'low'"),
+            ("output", {"normalization_mode": "mean"}, "normalization_mode must be one of ('total', 'per-token')"),
+            ("output", {"raw_scores": [0.0, 0.0, 0.0]}, "probs are not the softmax of raw_scores (max drift 1.67e-01)"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, kind, changes, reason):
+        good, read, what = _GOOD_ROWS[kind]
+        bad = {key: value for key, value in {**good, **changes}.items() if value is not _DROP}
+        path = tmp_path / "rows.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in (good, good, bad)))
+        with pytest.raises(SchemaError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: line 3: bad {what} record: {reason}"
