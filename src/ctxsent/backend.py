@@ -7,12 +7,18 @@ whole pipelines can run and be verified without any model server.
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import logging
 import math
 import os
+import select
+import socket
+import ssl
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -20,7 +26,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
-import requests
 
 from .datamodel import POLARITIES, Polarity
 from .digest import derive_seed, stable_digest
@@ -281,6 +286,13 @@ class RemoteBackend:
     map_calls fans a batch out over concurrency_limit worker threads, which
     is the only cap on in-flight requests: a direct caller that runs its own
     threads gets no cap.
+
+    Requests go through http.client over keep-alive connections: a call takes
+    an idle connection, or opens one, and puts it back once the response is
+    read, so at most as many connections are open as calls run at once. An
+    idle connection the server has closed is dropped before reuse; one that
+    fails during a call is closed. Proxy variables and .netrc are not read,
+    and https uses ssl's default context.
     """
 
     RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -289,7 +301,27 @@ class RemoteBackend:
         if config.kind != "remote":
             raise ConfigurationError(f"RemoteBackend requires kind=remote, got {config.kind!r}")
         self.config = config
-        self._session = requests.Session()
+        url = urllib.parse.urlsplit(config.base_url)
+        try:
+            port = url.port
+        except ValueError as exc:
+            raise ConfigurationError(f"base_url {config.base_url!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigurationError(f"base_url must be an http or https URL with a host, got {config.base_url!r}")
+        if url.scheme == "https":
+            # One context for every connection: building one loads the certificate store.
+            connect = functools.partial(http.client.HTTPSConnection, context=ssl.create_default_context())
+        else:
+            connect = http.client.HTTPConnection
+        self._connect = functools.partial(connect, url.hostname, port, timeout=config.timeout)
+        self._path = url.path.rstrip("/") + "/chat/completions"
+        # A stack of idle connections; list.append and list.pop are atomic, so threads share it without a lock.
+        self._idle: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close the idle connections, while no call runs; a later call opens new ones."""
+        while self._idle:
+            self._idle.pop().close()
 
     def _api_key(self) -> str:
         env = self.config.api_key_env
@@ -300,9 +332,34 @@ class RemoteBackend:
             raise ConfigurationError(f"credential environment variable {env!r} is not set")
         return value
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, or a new one."""
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                return self._connect()
+            # sock is None after a response that closed the connection; http.client then reconnects.
+            if conn.sock is None or not _readable(conn.sock):
+                return conn
+            conn.close()
+
+    def _exchange(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
+        """Send one POST and read the whole response; returns its status and body."""
+        conn = self._connection()
+        try:
+            conn.request("POST", self._path, body=body, headers=headers)
+            response = conn.getresponse()
+            result = response.status, response.read()
+        except BaseException:
+            conn.close()
+            raise
+        self._idle.append(conn)
+        return result
+
     def _post(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Authorization": f"Bearer {self._api_key()}", "Content-Type": "application/json"}
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         attempts = self.config.max_retries + 1
         last_status: int | None = None
         last_error = "no attempt made"
@@ -310,23 +367,21 @@ class RemoteBackend:
             if attempt:
                 time.sleep(min(0.05 * 2**attempt, 2.0))
             try:
-                response = self._session.post(url, json=payload, headers=headers, timeout=self.config.timeout)
-            except requests.RequestException as exc:
+                status, data = self._exchange(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport failure: {exc}"
                 continue
-            last_status = response.status_code
-            if response.status_code in self.RETRY_STATUSES:
-                last_error = f"server returned status {response.status_code}"
+            last_status = status
+            if status in self.RETRY_STATUSES:
+                last_error = f"server returned status {status}"
                 continue
-            if response.status_code != 200:
-                raise TransportError(
-                    f"request failed with status {response.status_code}: {response.text[:200]}",
-                    last_status=response.status_code,
-                )
+            if status != 200:
+                text = data.decode("utf-8", errors="replace")
+                raise TransportError(f"request failed with status {status}: {text[:200]}", last_status=status)
             try:
-                return response.json()
+                return json.loads(data)
             except ValueError:
-                raise TransportError("response body is not JSON", last_status=response.status_code) from None
+                raise TransportError("response body is not JSON", last_status=status) from None
         raise TransportError(f"{last_error} (after {attempts} attempts)", last_status=last_status)
 
     def _messages(self, prompt: RenderedPrompt, image: str | None) -> list[dict[str, Any]]:
@@ -383,6 +438,15 @@ class RemoteBackend:
                 )
             scores = [s / int(c) for s, c in zip(scores, counts)]
         return ChoiceScores(scores=tuple(scores), normalization_mode=normalization)
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether an idle socket has data or end-of-file waiting, i.e. the server closed it."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -624,8 +624,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             cmd_judge_prompt(args.sentence, args.context1, args.context2, args.out)
             return 0
         config = load_config(args.config, _overrides(args))
+        active_types = config.knowledge_types
+        if getattr(args, "knowledge_type", None):
+            if args.knowledge_type not in config.knowledge_types:
+                raise ConfigurationError(
+                    f"--knowledge-type: {args.knowledge_type!r} is not in config.knowledge_types "
+                    f"{list(config.knowledge_types)}"
+                )
+            active_types = (args.knowledge_type,)
         directory = run_dir(config)
-        active_types = (args.knowledge_type,) if getattr(args, "knowledge_type", None) else config.knowledge_types
 
         def load(name: str, read: Callable[[Path], Any], producer: str) -> Any:
             return read(_require_artifact(directory / name, producer))

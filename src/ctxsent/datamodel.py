@@ -475,7 +475,8 @@ def _ingest_msed(path: Path, column_map: Mapping[str, Any] | None, split: str) -
         if not isinstance(row, dict):
             raise DatasetError(f"{path}: row {rowno}: expected an object")
         try:
-            sample_id = str(row.get(keys["id"]) or f"{split}-{rowno}")
+            raw_id = row.get(keys["id"])
+            sample_id = f"{split}-{rowno}" if raw_id in (None, "") else str(raw_id)
             label = row.get(keys["label"])
             samples.append(
                 Sample(

@@ -1,7 +1,11 @@
 import json
 import multiprocessing
+import os
+import socket
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +30,7 @@ from ctxsent.backend import (
 )
 from ctxsent.classifier import predict_batch
 from ctxsent.datamodel import Polarity
-from ctxsent.prompts import get_template, render_context_prompt
+from ctxsent.prompts import RenderedPrompt, get_template, render_context_prompt
 from ctxsent.datamodel import Sample
 from stubserver import StubServer, scores_responder, text_responder
 
@@ -289,6 +293,10 @@ class _ThreadRecorder:
         return self.inner.score_choices(*args, **kwargs)
 
 
+def _echo(body):
+    return 200, {"choices": [{"message": {"content": body["messages"][0]["content"][0]["text"]}}]}
+
+
 class TestMapCalls:
     def test_mock_calls_run_on_the_callers_thread(self, tmp_path):
         # CachingBackend forwards the inner config, so a cached mock dispatches as a mock.
@@ -300,15 +308,28 @@ class TestMapCalls:
         assert backend.threads == {threading.get_ident()}
 
     def test_remote_keeps_order_and_cap(self):
-        def echo(body):
-            return 200, {"choices": [{"message": {"content": body["messages"][0]["content"][0]["text"]}}]}
-
         prompts = [_prompt(f"sentence {i:02d}") for i in range(20)]
-        with StubServer(echo, delay=0.02) as server:
+        with StubServer(_echo, delay=0.02) as server:
             backend = RemoteBackend(_remote_config(server.base_url, concurrency_limit=3))
             texts = map_calls(backend, backend.generate, prompts)
         assert texts == [p.text for p in prompts]
         assert 1 < server.max_concurrent <= 3
+
+    def test_threads_share_keep_alive_connections(self):
+        # A connection handed to two threads at once would mix their responses up.
+        prompts = [_prompt(f"sentence {i:03d}") for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with StubServer(_echo, keep_alive=True) as server:
+                backend = RemoteBackend(_remote_config(server.base_url, max_retries=0, concurrency_limit=8))
+                texts = map_calls(backend, backend.generate, prompts)
+                backend.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == [p.text for p in prompts]
+        assert len(server.requests) == 200
+        assert server.connections <= 8
 
     def test_remote_first_failure_in_input_order_reraised_unchanged(self):
         def fail_some(body):
@@ -424,3 +445,82 @@ class TestRemoteBackend:
             backend = RemoteBackend(_remote_config(server.base_url))
             with pytest.raises(ConfigurationError, match="CTXSENT_TEST_KEY"):
                 backend.generate(_prompt())
+
+    def test_request_bodies_are_pinned(self):
+        prompt = RenderedPrompt(text="Caf\u00e9 \"menu\"", image_token=None, hash="h")
+        answer = {"choices": [{"message": {"content": "x"}}], "choice_logprobs": [-1.0, -2.0, -3.0]}
+        with StubServer(lambda body: (200, answer)) as server:
+            backend = RemoteBackend(_remote_config(server.base_url, temperature=0.5))
+            backend.generate(prompt, image="img/1.jpg")
+            backend.score_choices(prompt, CHOICES)
+        content = '[{"role": "user", "content": [{"type": "text", "text": "Caf\\u00e9 \\"menu\\""}'
+        assert [r["raw"] for r in server.requests] == [
+            (
+                '{"model": "stub-model", "messages": ' + content + ', '
+                '{"type": "image_url", "image_url": {"url": "img/1.jpg"}}]}], "temperature": 0.5}'
+            ).encode(),
+            (
+                '{"model": "stub-model", "messages": ' + content + ']}], "temperature": 0.5, '
+                '"echo_choices": ["negative", "neutral", "positive"]}'
+            ).encode(),
+        ]
+
+    @pytest.mark.parametrize(
+        "keep_alive, close_silently, connections",
+        [(True, False, 1), (True, True, 5), (False, False, 5)],
+        ids=["keep-alive", "keep-alive-server-closes", "http-1.0"],
+    )
+    def test_connection_reuse_costs_no_attempt(self, keep_alive, close_silently, connections):
+        with StubServer(text_responder("x"), keep_alive=keep_alive, close_silently=close_silently) as server:
+            backend = RemoteBackend(_remote_config(server.base_url, max_retries=0))
+            for _ in range(5):
+                assert backend.generate(_prompt()) == "x"
+                # The next call starts only once the server has closed the idle connection.
+                assert not close_silently or server.closed.acquire(timeout=5)
+            backend.close()
+        assert (len(server.requests), server.connections) == (5, connections)
+
+
+class TestTransportErrors:
+    def test_closed_port_fails_every_attempt(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        backend = RemoteBackend(_remote_config(f"http://127.0.0.1:{port}", max_retries=2))
+        with pytest.raises(TransportError, match=r"^transport failure: .+ \(after 3 attempts\)$") as exc_info:
+            backend.generate(_prompt())
+        assert exc_info.value.last_status is None
+
+    def test_non_json_body(self):
+        with StubServer(lambda body: (200, b"<html>not json</html>")) as server:
+            backend = RemoteBackend(_remote_config(server.base_url))
+            with pytest.raises(TransportError, match="^response body is not JSON$") as exc_info:
+                backend.generate(_prompt())
+        assert exc_info.value.last_status == 200
+
+    def test_error_status_carries_first_200_chars_of_body(self):
+        with StubServer(lambda body: (404, b"y" * 150 + b"z" * 150)) as server:
+            backend = RemoteBackend(_remote_config(server.base_url))
+            with pytest.raises(TransportError) as exc_info:
+                backend.generate(_prompt())
+        assert str(exc_info.value) == "request failed with status 404: " + "y" * 150 + "z" * 50
+        assert exc_info.value.last_status == 404
+
+    def test_slow_server_is_retried_as_transport_failure(self):
+        with StubServer(text_responder("late"), delay=0.5) as server:
+            backend = RemoteBackend(_remote_config(server.base_url, timeout=0.1, max_retries=1))
+            with pytest.raises(TransportError, match=r"^transport failure: timed out \(after 2 attempts\)$") as exc_info:
+                backend.generate(_prompt())
+        assert exc_info.value.last_status is None
+
+    @pytest.mark.parametrize("base_url", ["ftp://x", "http://", "localhost:8000", "http://x:port"])
+    def test_base_url_must_be_http_with_host(self, base_url):
+        with pytest.raises(ConfigurationError, match="base_url"):
+            RemoteBackend(_remote_config(base_url))
+
+
+def test_import_loads_no_http_library():
+    code = "import sys, ctxsent.cli; print([m for m in ('requests', 'urllib3', 'charset_normalizer', 'idna') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -188,6 +188,15 @@ class TestConfig:
             build_parser().parse_args(argv)
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["generate-context", "predict", "fuse", "sweep"])
+    def test_unconfigured_knowledge_type_is_rejected(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "config.json", knowledge_types=["historical", "cultural"])
+        assert _run(command, "--config", path, "--knowledge-type", "financial") == 1
+        message = "--knowledge-type: 'financial' is not in config.knowledge_types ['historical', 'cultural']"
+        report = {"error": {"type": "ConfigurationError", "message": message}}
+        assert capsys.readouterr().err.splitlines() == [json.dumps(report)]
+        assert not (tmp_path / "out").exists()
+
     def test_knowledge_type_is_scope_filter_not_override(self, tmp_path):
         path = write_config(tmp_path / "config.json", knowledge_types=["historical", "financial"])
         assert _run("ingest", "--config", path) == 0

@@ -203,6 +203,15 @@ class TestMsedIngest:
         assert samples[0].split == "dev"
         assert samples[1].image == "q.jpg"
 
+    def test_numeric_id_zero_is_kept(self, tmp_path):
+        path = tmp_path / "msed.jsonl"
+        path.write_text(
+            '{"id": 0, "caption": "zero day", "sentiment": "neutral"}\n'
+            '{"id": "test-1", "caption": "first", "sentiment": "positive"}\n'
+            '{"id": "", "caption": "no id", "sentiment": "positive"}\n'
+        )
+        assert [s.id for s in ingest_dataset(path, "msed")] == ["0", "test-1", "test-3"]
+
     def test_missing_sentence_names_row(self, tmp_path):
         path = tmp_path / "msed.jsonl"
         path.write_text('{"id":"m1","sentiment":"positive"}\n')
