@@ -136,8 +136,12 @@ class BackendConfig:
             raise ConfigurationError(f"backend kind must be one of {KINDS}, got {self.kind!r}")
         if not self.model_id:
             raise ConfigurationError("model_id must be non-empty")
-        if self.temperature < 0:
-            raise ConfigurationError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigurationError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ConfigurationError(f"timeout must be finite and > 0, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.concurrency_limit < 1:
             raise ConfigurationError(f"concurrency_limit must be >= 1, got {self.concurrency_limit}")
         if self.kind == "remote" and not self.base_url:

@@ -10,16 +10,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .backend import Backend, ChoiceScores, ScoreHint, map_calls
+import numpy as np
+
+from .backend import NORMALIZATION_MODES, Backend, ChoiceScores, ScoreHint, map_calls
 from .datamodel import (
     ContextRecord,
     PolarityDistribution,
     Sample,
     _dist_from_list,
-    _read_typed,
+    _number_rows,
+    _of_types,
+    _read_columns,
+    _require,
     _text,
+    _valid_rows,
     read_jsonl,  # unused here; perfbench/tracing.py counts rows by rebinding it by name
     write_jsonl,
 )
@@ -33,10 +39,14 @@ def softmax(scores: Sequence[float]) -> PolarityDistribution:
         raise ValueError(f"softmax expects 3 scores, got {len(values)}")
     if any(not math.isfinite(v) for v in values):
         raise ValueError(f"softmax requires finite scores: {values!r}")
+    return PolarityDistribution(_softmax_probs(values))
+
+
+def _softmax_probs(values: Sequence[float]) -> tuple[float, float, float]:
     top = max(values)
     exps = [math.exp(v - top) for v in values]
     total = sum(exps)
-    return PolarityDistribution((exps[0] / total, exps[1] / total, exps[2] / total))
+    return (exps[0] / total, exps[1] / total, exps[2] / total)
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,35 @@ class ClassifierOutput:
     dist: PolarityDistribution
     raw: ChoiceScores | None
     conditioned_on: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class OutputColumns:
+    """Classifier outputs as columns, one row per sample: the column form of a list of ClassifierOutput.
+
+    probs and raw are (n, 3) float64 rows. A row whose normalization is
+    None came without raw scores, and its raw row is zeros.
+    """
+
+    ids: tuple[str, ...]
+    probs: np.ndarray
+    conditioned_on: tuple[str | None, ...]
+    raw: np.ndarray
+    normalization: tuple[str | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_outputs(cls, outputs: Sequence[ClassifierOutput]) -> "OutputColumns":
+        return cls(
+            ids=tuple(o.sample_id for o in outputs),
+            probs=np.array([o.dist.probs for o in outputs], dtype=np.float64).reshape(-1, 3),
+            conditioned_on=tuple(o.conditioned_on for o in outputs),
+            raw=np.array([(0.0, 0.0, 0.0) if o.raw is None else o.raw.scores for o in outputs], dtype=np.float64)
+            .reshape(-1, 3),
+            normalization=tuple(None if o.raw is None else o.raw.normalization_mode for o in outputs),
+        )
 
 
 @dataclass(frozen=True)
@@ -181,5 +220,33 @@ def write_outputs(path: str | Path, outputs: Iterable[ClassifierOutput]) -> None
     write_jsonl(path, (output_to_dict(o) for o in outputs))
 
 
-def read_outputs(path: str | Path) -> list[ClassifierOutput]:
-    return _read_typed(path, output_from_dict, "classifier output")
+def _output_columns(rows: list[dict[str, Any]]) -> OutputColumns:
+    """Columns of classifier-output rows in the plain form, every array built once and checked as a whole.
+
+    Rows with raw scores take output_from_dict's softmax check, per row in
+    the same float arithmetic.
+    """
+    ids = [row["sample_id"] for row in rows]
+    probs = _number_rows([row["probs"] for row in rows])
+    raw_lists = [row.get("raw_scores") for row in rows]
+    modes = [None if r is None else row.get("normalization_mode", "total") for row, r in zip(rows, raw_lists)]
+    _require(_of_types(ids, {str}) and bool(_valid_rows(probs).all()))
+    raw = np.zeros_like(probs)
+    with_raw = [i for i, r in enumerate(raw_lists) if r is not None]
+    if with_raw:
+        scores = _number_rows([raw_lists[i] for i in with_raw])
+        _require(bool(np.isfinite(scores).all()) and all(modes[i] in NORMALIZATION_MODES for i in with_raw))
+        for soft, dist in zip(map(_softmax_probs, scores.tolist()), probs[with_raw].tolist()):
+            _require(max(abs(a - b) for a, b in zip(soft, dist)) <= 1e-9)
+        raw[with_raw] = scores
+    return OutputColumns(
+        ids=tuple(ids),
+        probs=probs,
+        conditioned_on=tuple(row.get("conditioned_on") for row in rows),
+        raw=raw,
+        normalization=tuple(modes),
+    )
+
+
+def read_outputs(path: str | Path) -> OutputColumns:
+    return _read_columns(path, _output_columns, output_from_dict, OutputColumns.from_outputs, "classifier output")

@@ -33,11 +33,11 @@ from .backend import (
     make_backend,
     map_calls,
 )
-from .classifier import ClassifierOutput, predict_batch, read_outputs, write_outputs
+from .classifier import OutputColumns, predict_batch, read_outputs, write_outputs
 from .datamodel import (
     ContextRecord,
     Polarity,
-    PredictionRecord,
+    PredictionColumns,
     Sample,
     SchemaError,
     ingest_dataset,
@@ -50,15 +50,12 @@ from .datamodel import (
     write_samples,
 )
 from .digest import stable_digest
-from .evaluate import (
-    compare_knowledge_types,
-    compute_metrics,
-    error_rate_by_entropy,
-    gold_labels,
-    rows_to_csv,
-    sweep,
-)
-from .fusion import STRATEGIES, FusionConfig, base_records, fuse_records
+from .evaluate import compare_knowledge_types, entropy_buckets, gold_indices, label_metrics, rows_to_csv, sweep_outputs
+from .fusion import STRATEGIES, FusionConfig, base_set, fuse_outputs
+
+# Bound here though unused: perfbench/tracing.py wraps these names on cli.
+from .evaluate import compute_metrics, error_rate_by_entropy, sweep  # noqa: F401
+from .fusion import fuse_records  # noqa: F401
 from .prompts import (
     LEVELS,
     PromptTemplate,
@@ -73,7 +70,6 @@ from .saliency import load_dump, s_scores, scores_to_csv
 _EPOCH = "1970-01-01T00:00:00+00:00"
 
 T = TypeVar("T")
-Outputs = Sequence[ClassifierOutput]
 
 # Every package error is a ValueError or one of the two runtime errors below.
 _USER_ERRORS = (TransportError, CapabilityError, ValueError, OSError)
@@ -381,7 +377,7 @@ def cmd_predict(
     knowledge_type: str | None = None,
     contexts: Sequence[ContextRecord] | None = None,
     cache: ResponseCache | None = None,
-) -> tuple[ClassifierOutput, ...]:
+) -> OutputColumns:
     """Base predictions without a knowledge type, else predictions conditioned on its contexts."""
     directory = run_dir(config)
     inputs = [directory / "samples.jsonl"]
@@ -410,53 +406,53 @@ def cmd_predict(
     print(f"wrote {out} ({len(result.outputs)} predictions)")
     if not result.outputs:
         raise TransportError("all samples failed prediction")
-    return result.outputs
+    return OutputColumns.from_outputs(result.outputs)
 
 
 def _fused_name(config: RunConfig, knowledge_type: str) -> str:
     return f"fused.{config.fusion.strategy}.{knowledge_type}.jsonl"
 
 
-def cmd_fuse(config: RunConfig, base: Outputs, ctx: Outputs, knowledge_type: str) -> list[PredictionRecord]:
+def cmd_fuse(config: RunConfig, base: OutputColumns, ctx: OutputColumns, knowledge_type: str) -> PredictionColumns:
     directory = run_dir(config)
-    records = fuse_records(base, ctx, config.fusion, knowledge_type=knowledge_type)
+    fused = fuse_outputs(base, ctx, config.fusion, knowledge_type=knowledge_type)
     out = directory / _fused_name(config, knowledge_type)
-    write_predictions(out, records)
+    write_predictions(out, fused)
     inputs = [directory / "predictions.base.jsonl", directory / f"predictions.{knowledge_type}.jsonl"]
     _write_manifest(config, f"fuse.{config.fusion.strategy}.{knowledge_type}", inputs, [out])
-    print(f"wrote {out} ({len(records)} records)")
-    return records
+    print(f"wrote {out} ({len(fused)} records)")
+    return fused
 
 
-def _records_from_any(path: Path, alpha: float) -> list[PredictionRecord]:
-    """Read either fused records or raw classifier outputs (wrapped as base records)."""
+def _prediction_set(path: Path, alpha: float) -> PredictionColumns:
+    """Read fused records, or classifier outputs as the base set; the first row's keys tell which."""
     first = next(read_jsonl(path), None)
     if first is None:
         raise SchemaError(f"{path}: no records")
     _, row = first
     if "base" in row:
         return read_predictions(path)
-    return base_records(read_outputs(path), alpha=alpha)
+    return base_set(read_outputs(path), alpha=alpha)
 
 
 def cmd_evaluate(
-    config: RunConfig, samples: Sequence[Sample], records: Sequence[PredictionRecord], predictions_path: Path
+    config: RunConfig, samples: Sequence[Sample], predictions: PredictionColumns, predictions_path: Path
 ) -> Path:
-    """Score records, read from or written to predictions_path, against the samples' gold labels."""
+    """Score a prediction set, read from or written to predictions_path, against the samples' gold labels."""
     directory = run_dir(config)
-    golds = _golds(samples)
-    gold_list = gold_labels([r.sample_id for r in records], golds)
-    report = compute_metrics(gold_list, [r.final_label for r in records])
-    scored = {r.sample_id for r in records}
+    gold = gold_indices(predictions.ids, _golds(samples))
+    report = label_metrics(gold, predictions.labels)
+    scored = set(predictions.ids)
     unscored = [s.id for s in samples if s.id not in scored]
     if unscored:
         print(
-            f"scored {len(records)} of {len(samples)} samples; {len(unscored)} have no prediction "
+            f"scored {len(predictions)} of {len(samples)} samples; {len(unscored)} have no prediction "
             f"(e.g. {unscored[:5]})",
             file=sys.stderr,
         )
-    buckets_all = error_rate_by_entropy(records, golds, hard_only=False, alpha=config.fusion.alpha)
-    buckets_hard = error_rate_by_entropy(records, golds, hard_only=True, alpha=config.fusion.alpha)
+    wrong = predictions.labels != gold
+    buckets_all = entropy_buckets(predictions.base, wrong, hard_only=False, alpha=config.fusion.alpha)
+    buckets_hard = entropy_buckets(predictions.base, wrong, hard_only=True, alpha=config.fusion.alpha)
     stem = predictions_path.stem
     metrics_path = directory / f"metrics.{stem}.json"
     _write_json(metrics_path, report.to_dict())
@@ -475,9 +471,11 @@ def cmd_evaluate(
     return metrics_path
 
 
-def cmd_sweep(config: RunConfig, samples: Sequence[Sample], base: Outputs, ctx: Outputs, knowledge_type: str) -> Path:
+def cmd_sweep(
+    config: RunConfig, samples: Sequence[Sample], base: OutputColumns, ctx: OutputColumns, knowledge_type: str
+) -> Path:
     directory = run_dir(config)
-    result = sweep(
+    result = sweep_outputs(
         base,
         ctx,
         _golds(samples),
@@ -501,12 +499,11 @@ def cmd_sweep(config: RunConfig, samples: Sequence[Sample], base: Outputs, ctx: 
 
 
 def cmd_compare_types(
-    config: RunConfig, samples: Sequence[Sample], base: Outputs, per_type: Mapping[str, Sequence[PredictionRecord]]
+    config: RunConfig, samples: Sequence[Sample], base: OutputColumns, per_type: Mapping[str, PredictionColumns]
 ) -> Path:
     """One row per fused set in per_type, keyed by knowledge type, after the base row."""
     directory = run_dir(config)
-    base_set = base_records(base, alpha=config.fusion.alpha)
-    rows = compare_knowledge_types(base_set, per_type, _golds(samples))
+    rows = compare_knowledge_types(base_set(base, alpha=config.fusion.alpha), per_type, _golds(samples))
     out = directory / "knowledge_types.csv"
     out.write_text(rows_to_csv(rows), encoding="utf-8")
     inputs = [directory / "samples.jsonl", directory / "predictions.base.jsonl"]
@@ -547,7 +544,7 @@ def cmd_pipeline(config: RunConfig, cache: ResponseCache | None = None) -> None:
     directory = run_dir(config)
     samples = cmd_ingest(config)
     base = cmd_predict(config, samples, cache=cache)
-    cmd_evaluate(config, samples, base_records(base, alpha=config.fusion.alpha), directory / "predictions.base.jsonl")
+    cmd_evaluate(config, samples, base_set(base, alpha=config.fusion.alpha), directory / "predictions.base.jsonl")
     per_type = {}
     for knowledge_type in config.knowledge_types:
         contexts = cmd_generate_context(config, samples, knowledge_type, cache)
@@ -667,8 +664,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 else:
                     predictions_path = directory / "predictions.base.jsonl"
                 _require_artifact(predictions_path, "predict or fuse")
-                records = _records_from_any(predictions_path, config.fusion.alpha)
-                cmd_evaluate(config, samples, records, predictions_path)
+                predictions = _prediction_set(predictions_path, config.fusion.alpha)
+                cmd_evaluate(config, samples, predictions, predictions_path)
             elif args.command == "sweep":
                 samples = load("samples.jsonl", read_samples, "ingest")
                 base = load("predictions.base.jsonl", read_outputs, "predict")

@@ -10,8 +10,11 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 PROB_TOLERANCE = 1e-9
 
@@ -125,6 +128,16 @@ class PolarityDistribution:
         return cls((vals[0] / total, vals[1] / total, vals[2] / total))
 
 
+def _valid_rows(rows: np.ndarray) -> np.ndarray:
+    """Per (n, 3) row, whether PolarityDistribution accepts it: the same tests in the same arithmetic."""
+    total = rows[:, 0] + rows[:, 1] + rows[:, 2]
+    return (
+        np.isfinite(rows).all(axis=1)
+        & ((rows >= -PROB_TOLERANCE) & (rows <= 1.0 + PROB_TOLERANCE)).all(axis=1)
+        & (np.abs(total - 1.0) <= PROB_TOLERANCE)
+    )
+
+
 def argmax_label(dist: PolarityDistribution) -> Polarity:
     """Polarity with the highest probability; ties go to the lowest canonical index."""
     best = 0
@@ -192,6 +205,69 @@ class PredictionRecord:
     final_label: Polarity
     strategy: str
     knowledge_type: str | None = None
+
+
+def _rows_of(dists: Iterable[PolarityDistribution]) -> np.ndarray:
+    return np.array([d.probs for d in dists], dtype=np.float64).reshape(-1, 3)
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionColumns:
+    """A prediction set as columns, one row per sample: the column form of a list of PredictionRecord.
+
+    base, with_context and fused are (n, 3) float64 rows. Where has_context
+    or has_fused is False the record holds null there, and the row repeats
+    the base row. labels are the final labels' indices.
+    """
+
+    ids: tuple[str, ...]
+    base: np.ndarray
+    with_context: np.ndarray
+    has_context: np.ndarray
+    fused: np.ndarray
+    has_fused: np.ndarray
+    delta: np.ndarray
+    is_hard: np.ndarray
+    labels: np.ndarray
+    strategy: tuple[str, ...]
+    knowledge_type: tuple[str | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_records(cls, records: Sequence[PredictionRecord]) -> "PredictionColumns":
+        return cls(
+            ids=tuple(r.sample_id for r in records),
+            base=_rows_of(r.base for r in records),
+            with_context=_rows_of(r.base if r.with_context is None else r.with_context for r in records),
+            has_context=np.array([r.with_context is not None for r in records], dtype=bool),
+            fused=_rows_of(r.base if r.fused is None else r.fused for r in records),
+            has_fused=np.array([r.fused is not None for r in records], dtype=bool),
+            delta=np.array([r.delta for r in records], dtype=np.float64),
+            is_hard=np.array([r.is_hard for r in records], dtype=bool),
+            labels=np.array([r.final_label.index for r in records], dtype=np.int64),
+            strategy=tuple(r.strategy for r in records),
+            knowledge_type=tuple(r.knowledge_type for r in records),
+        )
+
+    def to_records(self) -> list[PredictionRecord]:
+        def dists(rows: np.ndarray, present: np.ndarray) -> list[PolarityDistribution | None]:
+            return [PolarityDistribution(tuple(row)) if p else None for row, p in zip(rows.tolist(), present.tolist())]
+
+        everywhere = np.ones(len(self), dtype=bool)
+        columns = (
+            self.ids,
+            dists(self.base, everywhere),
+            dists(self.with_context, self.has_context),
+            dists(self.fused, self.has_fused),
+            self.delta.tolist(),
+            self.is_hard.tolist(),
+            [POLARITIES[i] for i in self.labels.tolist()],
+            self.strategy,
+            self.knowledge_type,
+        )
+        return [PredictionRecord(*row) for row in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +414,128 @@ def read_contexts(path: str | Path) -> list[ContextRecord]:
     return list(by_key.values())
 
 
-def write_predictions(path: str | Path, records: Iterable[PredictionRecord]) -> None:
-    write_jsonl(path, (prediction_to_dict(r) for r in records))
+def _json_texts(values: np.ndarray) -> list[str]:
+    """Each value, or each row of a 2-D array, as json.dumps writes it; json writes a finite float by repr."""
+    items = values.tolist()
+    return list(map(repr if np.isfinite(values).all() else json.dumps, items))
 
 
-def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    return _read_typed(path, prediction_from_dict, "prediction")
+def _nullable(texts: list[str], present: np.ndarray) -> list[str]:
+    return [text if p else "null" for text, p in zip(texts, present.tolist())]
+
+
+_LABEL_JSON = tuple(json.dumps(label) for label in LABELS)
+# One record's line, its keys in PredictionRecord's field order.
+_PREDICTION_LINE = "{" + ", ".join(f'"{name}": %s' for name in _PREDICTION_FIELDS) + "}\n"
+
+
+def write_predictions(path: str | Path, columns: PredictionColumns) -> None:
+    """Write one JSON object per record, formatted from the columns.
+
+    Each line equals json.dumps(prediction_to_dict(record), ensure_ascii=False).
+    """
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    texts = {
+        "sample_id": [encode(v) for v in columns.ids],
+        "base": _json_texts(columns.base),
+        "with_context": _nullable(_json_texts(columns.with_context), columns.has_context),
+        "fused": _nullable(_json_texts(columns.fused), columns.has_fused),
+        "delta": _json_texts(columns.delta),
+        "is_hard": ["true" if h else "false" for h in columns.is_hard.tolist()],
+        "final_label": [_LABEL_JSON[i] for i in columns.labels.tolist()],
+        "strategy": [encode(v) for v in columns.strategy],
+        "knowledge_type": [encode(v) for v in columns.knowledge_type],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_PREDICTION_LINE % row for row in zip(*(texts[name] for name in _PREDICTION_FIELDS)))
+
+
+_LABEL_INDEX = {p.label: p.index for p in POLARITIES}
+
+
+def _require(condition: bool) -> None:
+    if not condition:
+        raise ValueError("not a plain row")
+
+
+def _of_types(values: Iterable[Any], types: set[type]) -> bool:
+    """Whether every value's type is one of types; bool is not int here."""
+    return set(map(type, values)) <= types
+
+
+def _number_rows(values: list[Any]) -> np.ndarray:
+    """(n, 3) float64 rows of lists of three JSON numbers; ValueError, TypeError or OverflowError for anything else."""
+    rows = np.array(values, dtype=np.float64) if values else np.empty((0, 3))
+    _require(rows.shape == (len(values), 3) and _of_types(chain.from_iterable(values), {int, float}))
+    return rows
+
+
+def _prediction_columns(rows: list[dict[str, Any]]) -> PredictionColumns:
+    """Columns of fused-record rows in the plain form, every array built once and checked as a whole."""
+    ids = [row["sample_id"] for row in rows]
+    base_lists = [row["base"] for row in rows]
+    context_lists = [row.get("with_context") for row in rows]
+    fused_lists = [row.get("fused") for row in rows]
+    delta = [row["delta"] for row in rows]
+    is_hard = [row["is_hard"] for row in rows]
+    strategy = [row["strategy"] for row in rows]
+    _require(
+        _of_types(ids, {str})
+        and _of_types(delta, {int, float})
+        and _of_types(is_hard, {bool})
+        and _of_types(strategy, {str})
+    )
+    base = _number_rows(base_lists)
+    with_context = _number_rows([b if c is None else c for b, c in zip(base_lists, context_lists)])
+    fused = _number_rows([b if f is None else f for b, f in zip(base_lists, fused_lists)])
+    _require(bool((_valid_rows(base) & _valid_rows(with_context) & _valid_rows(fused)).all()))
+    return PredictionColumns(
+        ids=tuple(ids),
+        base=base,
+        with_context=with_context,
+        has_context=np.array([c is not None for c in context_lists], dtype=bool),
+        fused=fused,
+        has_fused=np.array([f is not None for f in fused_lists], dtype=bool),
+        delta=np.array(delta, dtype=np.float64),
+        is_hard=np.array(is_hard, dtype=bool),
+        labels=np.array([_LABEL_INDEX[row["final_label"]] for row in rows], dtype=np.int64),
+        strategy=tuple(strategy),
+        knowledge_type=tuple(row.get("knowledge_type") for row in rows),
+    )
+
+
+def _read_columns(
+    path: str | Path,
+    from_rows: Callable[[list[dict[str, Any]]], Any],
+    parse: Callable[[Mapping[str, Any]], Any],
+    pack: Callable[[list[Any]], Any],
+    what: str,
+) -> Any:
+    """Read a JSONL file of per-sample rows into columns with from_rows.
+
+    from_rows gathers each field into a list and builds each array once; it
+    raises KeyError, TypeError, ValueError or OverflowError for any row that
+    is not in the plain form (JSON numbers, valid distributions, string
+    ids). Then every row is decoded with parse from the top, as _read_typed
+    does, so the first bad row raises the SchemaError it always did, and
+    the decoded records are packed into columns. A sample id that repeats
+    an earlier row's raises a SchemaError naming file, id and line.
+    """
+    try:
+        columns = from_rows([row for _, row in read_jsonl(path)])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        columns = pack(_read_typed(path, parse, what))
+    if len(set(columns.ids)) < len(columns.ids):
+        seen: set[str] = set()
+        for sample_id, (lineno, _) in zip(columns.ids, read_jsonl(path)):
+            if sample_id in seen:
+                raise SchemaError(f"{path}: line {lineno}: sample id {sample_id!r} repeats an earlier row")
+            seen.add(sample_id)
+    return columns
+
+
+def read_predictions(path: str | Path) -> PredictionColumns:
+    return _read_columns(path, _prediction_columns, prediction_from_dict, PredictionColumns.from_records, "prediction")
 
 
 # ---------------------------------------------------------------------------

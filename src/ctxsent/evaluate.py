@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import ClassifierOutput
-from .datamodel import LABELS, POLARITIES, DatasetError, Polarity, PolarityDistribution, PredictionRecord
-from .fusion import FusionConfig, fuse_arrays, fusion_columns, is_hard, match_context
+from .classifier import ClassifierOutput, OutputColumns
+from .datamodel import (
+    LABELS,
+    POLARITIES,
+    DatasetError,
+    Polarity,
+    PolarityDistribution,
+    PredictionColumns,
+    PredictionRecord,
+)
+from .fusion import FusionConfig, fuse_arrays, gaps, join_context
 
 # Bound here though unused: perfbench/tracing.py wraps evaluate.fuse_records by name.
 from .fusion import fuse_records  # noqa: F401
@@ -51,23 +58,26 @@ class MetricsReport:
         return report
 
 
-def gold_labels(ids: Sequence[str], golds: Mapping[str, Polarity]) -> list[Polarity]:
-    """Gold labels for the ids, in order; raises DatasetError naming up to five ids without one."""
+def gold_indices(ids: Sequence[str], golds: Mapping[str, Polarity]) -> np.ndarray:
+    """Gold label indices for the ids, in order; raises DatasetError naming up to five ids without one."""
     missing = [i for i in ids if i not in golds]
     if missing:
         more = "..." if len(missing) > 5 else ""
         raise DatasetError(f"samples without gold labels cannot be scored: {missing[:5]}{more}")
-    return [golds[i] for i in ids]
+    return np.array([golds[i].index for i in ids], dtype=np.int64)
+
+
+def label_metrics(gold: np.ndarray, labels: np.ndarray) -> MetricsReport:
+    """The report for gold and predicted label indices, through one 3x3 confusion table."""
+    return metrics_from_confusion(np.bincount(gold * 3 + labels, minlength=9).reshape(3, 3).tolist())
 
 
 def compute_metrics(golds: Sequence[Polarity], preds: Sequence[Polarity]) -> MetricsReport:
     if len(golds) != len(preds):
         raise ValueError(f"gold/prediction length mismatch: {len(golds)} vs {len(preds)}")
-    # confusion[gold][predicted], filled in one pass over the labels.
-    confusion = [[0, 0, 0] for _ in POLARITIES]
-    for g, p in zip(golds, preds):
-        confusion[g.index][p.index] += 1
-    return metrics_from_confusion(confusion)
+    return label_metrics(
+        np.array([g.index for g in golds], dtype=np.int64), np.array([p.index for p in preds], dtype=np.int64)
+    )
 
 
 def metrics_from_confusion(confusion: Sequence[Sequence[int]]) -> MetricsReport:
@@ -96,8 +106,12 @@ def metrics_from_confusion(confusion: Sequence[Sequence[int]]) -> MetricsReport:
 
 def entropy(p: PolarityDistribution) -> float:
     """Shannon entropy in bits; ranges over [0, log2(3)] for three classes."""
+    return _entropy(p.probs)
+
+
+def _entropy(probs: Sequence[float]) -> float:
     total = 0.0
-    for x in p.probs:
+    for x in probs:
         if x > 0.0:
             total -= x * math.log2(x)
     return total
@@ -127,42 +141,45 @@ class EntropyBucketReport:
         return {"entropy_base": 2, **asdict(self)}
 
 
+def entropy_buckets(
+    base: np.ndarray, wrong: np.ndarray, hard_only: bool = False, alpha: float = 0.3
+) -> EntropyBucketReport:
+    """Bucket (n, 3) base rows by entropy over the default edges and report per-bucket error rates.
+
+    wrong marks the rows whose final label is not gold. The hard filter
+    recomputes each base row's confidence gap against the alpha given here.
+    Entropy stays a per-row math.log2 computation, since np.log2 can differ
+    in the last bit and move a row across a bucket edge.
+    """
+    if hard_only:
+        keep = gaps(base) <= alpha
+        base, wrong = base[keep], wrong[keep]
+    edges = default_entropy_edges()
+    buckets = len(edges) - 1
+    h = [_entropy(row) for row in base.tolist()]
+    index = np.clip(np.searchsorted(edges, h, side="right") - 1, 0, buckets - 1)
+    counts = np.bincount(index, minlength=buckets).tolist()
+    errors = np.bincount(index[wrong], minlength=buckets).tolist()
+    return EntropyBucketReport(
+        edges=edges,
+        counts=tuple(counts),
+        error_rates=tuple(e / c if c else None for e, c in zip(errors, counts)),
+        hard_only=hard_only,
+        alpha=alpha,
+        n=len(h),
+    )
+
+
 def error_rate_by_entropy(
     records: Sequence[PredictionRecord],
     golds: Mapping[str, Polarity],
     hard_only: bool = False,
     alpha: float = 0.3,
 ) -> EntropyBucketReport:
-    """Bucket samples by base-distribution entropy and report per-bucket error rates.
-
-    Each record is scored by its final label over the default entropy edges.
-    The hard filter recomputes the confidence gap from the base distribution
-    against the alpha given here.
-    """
-    bin_edges = default_entropy_edges()
-    buckets = len(bin_edges) - 1
-    counts = [0] * buckets
-    errors = [0] * buckets
-    analyzed = 0
-    gold_list = gold_labels([r.sample_id for r in records], golds)
-    for record, gold in zip(records, gold_list):
-        if hard_only and not is_hard(record.base, alpha):
-            continue
-        h = entropy(record.base)
-        index = min(max(bisect_right(bin_edges, h) - 1, 0), buckets - 1)
-        counts[index] += 1
-        analyzed += 1
-        if record.final_label is not gold:
-            errors[index] += 1
-    rates = tuple(errors[i] / counts[i] if counts[i] else None for i in range(buckets))
-    return EntropyBucketReport(
-        edges=bin_edges,
-        counts=tuple(counts),
-        error_rates=rates,
-        hard_only=hard_only,
-        alpha=alpha,
-        n=analyzed,
-    )
+    """entropy_buckets for records, each scored by its final label."""
+    columns = PredictionColumns.from_records(records)
+    wrong = columns.labels != gold_indices(columns.ids, golds)
+    return entropy_buckets(columns.base, wrong, hard_only, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +217,9 @@ class SweepResult:
         object.__setattr__(self, "selected_f1", best.macro_f1)
 
 
-def sweep(
-    base_outputs: Sequence[ClassifierOutput],
-    ctx_outputs: Sequence[ClassifierOutput],
+def sweep_outputs(
+    base: OutputColumns,
+    ctx: OutputColumns,
     golds: Mapping[str, Polarity],
     alpha_grid: Sequence[float],
     beta_grid: Sequence[float],
@@ -217,20 +234,19 @@ def sweep(
     applies. two-phase first sweeps beta at the fixed alpha, then sweeps
     alpha at the best beta; full-grid evaluates the product grid. Selection
     is the argmax over all evaluated points with the documented tie-breaking.
-    The columns are built once; each point costs one fuse_arrays call and a
-    3x3 confusion table, and builds no records.
+    The columns are joined once; each point costs one fuse_arrays call and a
+    3x3 confusion table.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     if not alpha_grid or not beta_grid:
         raise ValueError("alpha_grid and beta_grid must be non-empty")
-    gold = np.array([g.index for g in gold_labels([o.sample_id for o in base_outputs], golds)], dtype=np.int64)
-    columns = fusion_columns(base_outputs, match_context(base_outputs, ctx_outputs))
+    gold = gold_indices(base.ids, golds)
+    columns = join_context(base, ctx)
 
     def evaluate_point(alpha: float, beta: float) -> GridPoint:
         labels = fuse_arrays(columns, replace(fusion, alpha=alpha, beta=beta)).labels
-        confusion = np.bincount(gold * 3 + labels, minlength=9).reshape(3, 3).tolist()
-        return GridPoint(alpha=alpha, beta=beta, macro_f1=metrics_from_confusion(confusion).macro_f1)
+        return GridPoint(alpha=alpha, beta=beta, macro_f1=label_metrics(gold, labels).macro_f1)
 
     points: list[GridPoint] = []
     if mode == "full-grid":
@@ -249,6 +265,21 @@ def sweep(
     return SweepResult(grid=tuple(points), rule=mode)
 
 
+def sweep(
+    base_outputs: Sequence[ClassifierOutput],
+    ctx_outputs: Sequence[ClassifierOutput],
+    golds: Mapping[str, Polarity],
+    alpha_grid: Sequence[float],
+    beta_grid: Sequence[float],
+    fusion: FusionConfig = FusionConfig(),
+    mode: str = "two-phase",
+    fixed_alpha: float = 0.3,
+) -> SweepResult:
+    """sweep_outputs over sequences of outputs."""
+    base, ctx = OutputColumns.from_outputs(base_outputs), OutputColumns.from_outputs(ctx_outputs)
+    return sweep_outputs(base, ctx, golds, alpha_grid, beta_grid, fusion, mode, fixed_alpha)
+
+
 # ---------------------------------------------------------------------------
 # Knowledge-type comparison
 # ---------------------------------------------------------------------------
@@ -262,27 +293,26 @@ class KnowledgeTypeRow:
 
 
 def compare_knowledge_types(
-    base_records: Sequence[PredictionRecord],
-    per_type: Mapping[str, Sequence[PredictionRecord]],
+    base: PredictionColumns,
+    per_type: Mapping[str, PredictionColumns],
     golds: Mapping[str, Polarity],
 ) -> list[KnowledgeTypeRow]:
     """One metrics row per knowledge type, plus a "base" row first.
 
     All prediction sets must cover exactly the same sample ids.
     """
-    base_ids = {r.sample_id for r in base_records}
-    for name, records in per_type.items():
-        ids = {r.sample_id for r in records}
+    base_ids = set(base.ids)
+    for name, columns in per_type.items():
+        ids = set(columns.ids)
         if ids != base_ids:
             diff = sorted(ids.symmetric_difference(base_ids))
             raise ValueError(f"prediction set {name!r} covers different ids (e.g. {diff[:5]})")
 
-    def row(name: str, records: Sequence[PredictionRecord]) -> KnowledgeTypeRow:
-        gold_list = gold_labels([r.sample_id for r in records], golds)
-        report = compute_metrics(gold_list, [r.final_label for r in records])
+    def row(name: str, columns: PredictionColumns) -> KnowledgeTypeRow:
+        report = label_metrics(gold_indices(columns.ids, golds), columns.labels)
         return KnowledgeTypeRow(knowledge_type=name, accuracy=report.accuracy, macro_f1=report.macro_f1, n=report.n)
 
-    rows = [row("base", base_records)]
+    rows = [row("base", base)]
     rows.extend(row(name, per_type[name]) for name in per_type)
     return rows
 

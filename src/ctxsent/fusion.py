@@ -6,7 +6,7 @@ probabilities are close. Alternative strategies (average, max, js, cxmi) apply
 to every sample unless explicitly composed with the gate.
 
 fuse_arrays runs the gate and every strategy over (n, 3) float64 columns;
-fuse_records and the sweep go through it. The per-distribution functions
+fuse_outputs and the sweep go through it. The per-distribution functions
 (delta, is_hard, apply_strategy and the fuse_* strategies) are the scalar
 reference it matches bit for bit.
 """
@@ -20,13 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import ClassifierOutput
+from .classifier import ClassifierOutput, OutputColumns
 from .datamodel import (
-    POLARITIES,
-    PROB_TOLERANCE,
     Polarity,
     PolarityDistribution,
+    PredictionColumns,
     PredictionRecord,
+    _valid_rows,
     argmax_label,
 )
 
@@ -59,8 +59,8 @@ class FusionConfig:
             raise ValueError(f"beta must be within [0, 1], got {self.beta}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.cxmi_threshold <= 0.0:
-            raise ValueError(f"cxmi_threshold must be positive, got {self.cxmi_threshold}")
+        if not (math.isfinite(self.cxmi_threshold) and self.cxmi_threshold > 0.0):
+            raise ValueError(f"cxmi_threshold must be finite and positive, got {self.cxmi_threshold}")
 
 
 def delta(p: PolarityDistribution) -> float:
@@ -231,45 +231,24 @@ class FusedColumns:
     labels: np.ndarray
 
 
-def fusion_columns(
-    base_outputs: Sequence[ClassifierOutput], ctx_outputs: Sequence[ClassifierOutput | None]
-) -> FusionColumns:
-    """Columns for base outputs and their context outputs, aligned row for row (None where there is none)."""
-    base = np.array([o.dist.probs for o in base_outputs], dtype=np.float64).reshape(-1, 3)
-    ctx = np.array(
-        [c.dist.probs if c is not None else o.dist.probs for o, c in zip(base_outputs, ctx_outputs)],
-        dtype=np.float64,
-    ).reshape(-1, 3)
-    return FusionColumns(
-        ids=tuple(o.sample_id for o in base_outputs),
-        base=base,
-        ctx=ctx,
-        has_ctx=np.array([c is not None for c in ctx_outputs], dtype=bool),
-        gap=np.clip(2.0 * base.max(axis=1) + base.min(axis=1) - 1.0, 0.0, 1.0),
-    )
+def gaps(rows: np.ndarray) -> np.ndarray:
+    """delta of each (n, 3) row, bit for bit."""
+    return np.clip(2.0 * rows.max(axis=1) + rows.min(axis=1) - 1.0, 0.0, 1.0)
 
 
-def match_context(
-    base_outputs: Sequence[ClassifierOutput], ctx_outputs: Sequence[ClassifierOutput]
-) -> list[ClassifierOutput | None]:
-    """Each base output's context-conditioned output, joined by sample id; None where there is none."""
-    by_id = {o.sample_id: o for o in ctx_outputs}
-    return [by_id.get(o.sample_id) for o in base_outputs]
+def join_context(base: OutputColumns, ctx: OutputColumns) -> FusionColumns:
+    """Columns for the base outputs and their context outputs, joined by sample id."""
+    position = {sample_id: j for j, sample_id in enumerate(ctx.ids)}
+    index = np.array([position.get(sample_id, -1) for sample_id in base.ids], dtype=np.intp)
+    has_ctx = index >= 0
+    ctx_rows = base.probs.copy()
+    ctx_rows[has_ctx] = ctx.probs[index[has_ctx]]
+    return FusionColumns(ids=base.ids, base=base.probs, ctx=ctx_rows, has_ctx=has_ctx, gap=gaps(base.probs))
 
 
 def _mix(a: np.ndarray, b: np.ndarray, weight: float | np.ndarray) -> np.ndarray:
     """Rows of a + weight * (b - a); weight 0 keeps a and weight 1 takes b exactly, as _interpolate does."""
     return np.where(weight == 0.0, a, np.where(weight == 1.0, b, a + weight * (b - a)))
-
-
-def _valid_rows(rows: np.ndarray) -> np.ndarray:
-    """Per row, whether PolarityDistribution accepts it: the same tests in the same arithmetic."""
-    total = rows[:, 0] + rows[:, 1] + rows[:, 2]
-    return (
-        np.isfinite(rows).all(axis=1)
-        & ((rows >= -PROB_TOLERANCE) & (rows <= 1.0 + PROB_TOLERANCE)).all(axis=1)
-        & (np.abs(total - 1.0) <= PROB_TOLERANCE)
-    )
 
 
 def _strategy_rows(columns: FusionColumns, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -320,67 +299,68 @@ def fuse_arrays(columns: FusionColumns, config: FusionConfig) -> FusedColumns:
     return FusedColumns(gap=columns.gap, hard=hard, fused=fused, labels=fused.argmax(axis=1))
 
 
+def fuse_outputs(
+    base: OutputColumns, ctx: OutputColumns, config: FusionConfig, knowledge_type: str | None = None
+) -> PredictionColumns:
+    """Join base and context outputs by sample id and fuse them in one fuse_arrays call.
+
+    A row's knowledge type is the one given, else its context output's
+    conditioned_on.
+    """
+    columns = join_context(base, ctx)
+    result = fuse_arrays(columns, config)
+    n = len(columns.ids)
+    if knowledge_type is None:
+        conditioned = dict(zip(ctx.ids, ctx.conditioned_on))
+        types = tuple(conditioned.get(sample_id) for sample_id in columns.ids)
+    else:
+        types = (knowledge_type,) * n
+    return PredictionColumns(
+        ids=columns.ids,
+        base=columns.base,
+        with_context=columns.ctx,
+        has_context=columns.has_ctx,
+        fused=result.fused,
+        has_fused=np.ones(n, dtype=bool),
+        delta=result.gap,
+        is_hard=result.hard,
+        labels=result.labels,
+        strategy=(config.strategy,) * n,
+        knowledge_type=types,
+    )
+
+
+def base_set(outputs: OutputColumns, alpha: float = 0.3) -> PredictionColumns:
+    """Base-only outputs as a prediction set (strategy "base", no fusion)."""
+    gap = gaps(outputs.probs)
+    n = len(outputs)
+    absent = np.zeros(n, dtype=bool)
+    return PredictionColumns(
+        ids=outputs.ids,
+        base=outputs.probs,
+        with_context=outputs.probs,
+        has_context=absent,
+        fused=outputs.probs,
+        has_fused=absent,
+        delta=gap,
+        is_hard=gap <= alpha,
+        labels=outputs.probs.argmax(axis=1),
+        strategy=("base",) * n,
+        knowledge_type=(None,) * n,
+    )
+
+
 def fuse_records(
     base_outputs: Sequence[ClassifierOutput],
     ctx_outputs: Sequence[ClassifierOutput],
     config: FusionConfig,
     knowledge_type: str | None = None,
 ) -> list[PredictionRecord]:
-    """Join base and context outputs by sample id, fuse them in one fuse_arrays call, and build the records.
-
-    A record's knowledge type is the one given, else its context output's
-    conditioned_on. A fused row bit-equal to its base or context row keeps
-    that input's distribution object, as apply_strategy returns it.
-    """
-    ctx = match_context(base_outputs, ctx_outputs)
-    columns = fusion_columns(base_outputs, ctx)
-    result = fuse_arrays(columns, config)
-    bits = result.fused.view(np.int64)
-    is_base = (bits == columns.base.view(np.int64)).all(axis=1).tolist()
-    is_ctx = (columns.has_ctx & (bits == columns.ctx.view(np.int64)).all(axis=1)).tolist()
-    rows = zip(result.fused.tolist(), result.gap.tolist(), result.hard.tolist(), result.labels.tolist(), is_base, is_ctx)
-    records = []
-    for base, ctx_out, (row, gap, hard, label, from_base, from_ctx) in zip(base_outputs, ctx, rows):
-        if from_base:
-            fused = base.dist
-        elif from_ctx:
-            fused = ctx_out.dist
-        else:
-            fused = PolarityDistribution(tuple(row))
-        record_type = knowledge_type
-        if record_type is None and ctx_out is not None:
-            record_type = ctx_out.conditioned_on
-        records.append(
-            PredictionRecord(
-                sample_id=base.sample_id,
-                base=base.dist,
-                with_context=ctx_out.dist if ctx_out is not None else None,
-                fused=fused,
-                delta=gap,
-                is_hard=hard,
-                final_label=POLARITIES[label],
-                strategy=config.strategy,
-                knowledge_type=record_type,
-            )
-        )
-    return records
+    """fuse_outputs over sequences of outputs, as records."""
+    base, ctx = OutputColumns.from_outputs(base_outputs), OutputColumns.from_outputs(ctx_outputs)
+    return fuse_outputs(base, ctx, config, knowledge_type).to_records()
 
 
 def base_records(base_outputs: Sequence[ClassifierOutput], alpha: float = 0.3) -> list[PredictionRecord]:
-    """Wrap base-only outputs as records (strategy "base", no fusion)."""
-    records = []
-    for output in base_outputs:
-        records.append(
-            PredictionRecord(
-                sample_id=output.sample_id,
-                base=output.dist,
-                with_context=None,
-                fused=None,
-                delta=delta(output.dist),
-                is_hard=is_hard(output.dist, alpha),
-                final_label=argmax_label(output.dist),
-                strategy="base",
-                knowledge_type=None,
-            )
-        )
-    return records
+    """base_set over a sequence of outputs, as records."""
+    return base_set(OutputColumns.from_outputs(base_outputs), alpha).to_records()

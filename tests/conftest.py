@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -42,6 +43,20 @@ def make_mock_backend(
         **kwargs,
     )
     return MockBackend(BackendConfig(kind="mock", model_id="mock-test", mock=params))
+
+
+def same_columns(a, b) -> bool:
+    """Whether two column sets of one type hold the same values: arrays bit for bit, other fields by ==."""
+    if type(a) is not type(b):
+        return False
+    for name in vars(a):
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            if not (x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()):
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 @pytest.fixture

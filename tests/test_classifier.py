@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_mock_backend, make_samples
+from conftest import make_mock_backend, make_samples, same_columns
 from ctxsent.backend import BackendConfig, RemoteBackend, TransportError
 from ctxsent.classifier import (
+    OutputColumns,
     output_from_dict,
     output_to_dict,
     predict,
@@ -184,7 +185,7 @@ class TestOutputsIO:
         outputs = predict_batch(make_samples(4), "sentence", backend).outputs
         path = tmp_path / "preds.jsonl"
         write_outputs(path, outputs)
-        assert tuple(read_outputs(path)) == outputs
+        assert same_columns(read_outputs(path), OutputColumns.from_outputs(outputs))
 
     def test_minimal_import_schema(self):
         row = {"sample_id": "a", "probs": [0.2, 0.3, 0.5], "conditioned_on": None}

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,9 @@ from conftest import write_config
 from ctxsent.backend import BackendConfig, ResponseCache, TransportError
 from ctxsent.cli import DatasetSpec, RunConfig, SweepSpec, build_parser, cmd_generate_context, load_config, main
 from ctxsent.classifier import read_outputs
-from ctxsent.datamodel import read_predictions, read_samples
+from ctxsent.datamodel import POLARITIES, read_predictions, read_samples
 from ctxsent.evaluate import compute_metrics
-from ctxsent.fusion import FusionConfig, fuse_records
+from ctxsent.fusion import FusionConfig, fuse_outputs
 from stubserver import StubServer
 
 
@@ -79,6 +80,11 @@ class TestConfig:
             ({"knowledge_types": ["historical", "bogus"]}, "config.knowledge_types: unknown knowledge type 'bogus'; built-ins: "
              "artistic, biographical, character, cultural, environmental, historical, literary, political, scientific, "
              "social, financial"),
+            ({"classifier_backend": {"temperature": math.nan}}, "temperature must be finite and >= 0, got nan"),
+            ({"generator_backend": {"timeout": 0}}, "timeout must be finite and > 0, got 0.0"),
+            ({"generator_backend": {"timeout": -5}}, "timeout must be finite and > 0, got -5.0"),
+            ({"classifier_backend": {"timeout": math.nan}}, "timeout must be finite and > 0, got nan"),
+            ({"classifier_backend": {"max_retries": -3}}, "max_retries must be >= 0, got -3"),
         ],
     )
     def test_config_table(self, tmp_path, capsys, changes, error):
@@ -238,8 +244,7 @@ class TestPipelineCommands:
         base = read_outputs(run_path / "predictions.base.jsonl")
         fused = read_predictions(run_path / "fused.cf.historical.jsonl")
         assert len(base) == len(fused) == 30
-        for b, f in zip(base, fused):
-            assert f.fused.probs == b.dist.probs
+        assert fused.fused.tolist() == base.probs.tolist()
 
     def test_sweep_command(self, tmp_path):
         config_path = write_config(
@@ -274,8 +279,8 @@ class TestPipelineCommands:
         assert [g["alpha"] for g in grid] == [0.1, 0.3]
         for point in grid:
             config = FusionConfig(alpha=point["alpha"], beta=0.5, strategy="average", gate_alternatives=True)
-            records = fuse_records(base, ctx, config)
-            report = compute_metrics([golds[r.sample_id] for r in records], [r.final_label for r in records])
+            fused = fuse_outputs(base, ctx, config)
+            report = compute_metrics([golds[i] for i in fused.ids], [POLARITIES[i] for i in fused.labels.tolist()])
             assert point["macro_f1"] == report.macro_f1
         assert grid[0]["macro_f1"] != grid[1]["macro_f1"]
 
@@ -324,6 +329,21 @@ class TestPipelineCommands:
         capsys.readouterr()
         assert _run("evaluate", "--config", config_path, "--predictions", name) == 1
         report = {"error": {"type": "SchemaError", "message": f"{path}: line 3: {reason}"}}
+        assert capsys.readouterr().err.splitlines() == [json.dumps(report)]
+
+    @pytest.mark.parametrize("command", [["fuse"], ["evaluate"], ["sweep"]])
+    def test_a_repeated_sample_id_stops_the_command(self, tmp_path, capsys, command):
+        config_path = write_config(tmp_path / "config.json")
+        assert _run("pipeline", "--config", config_path) == 0
+        path = tmp_path / "out" / "run" / "predictions.base.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])["sample_id"]
+        lines[1] = json.dumps({**json.loads(lines[1]), "sample_id": first}) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert _run(*command, "--config", config_path) == 1
+        message = f"{path}: line 2: sample id {first!r} repeats an earlier row"
+        report = {"error": {"type": "SchemaError", "message": message}}
         assert capsys.readouterr().err.splitlines() == [json.dumps(report)]
 
     def test_manifest_contents(self, tmp_path):

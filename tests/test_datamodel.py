@@ -1,26 +1,33 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctxsent.classifier import read_outputs
+from conftest import same_columns
+from ctxsent.classifier import OutputColumns, _output_columns, output_from_dict, read_outputs, softmax
 from ctxsent.datamodel import (
     POLARITIES,
     ContextRecord,
     DatasetError,
     Polarity,
     PolarityDistribution,
+    PredictionColumns,
     PredictionRecord,
     Sample,
     SchemaError,
+    _prediction_columns,
+    _read_typed,
     argmax_label,
     ingest_dataset,
     read_contexts,
     read_predictions,
     read_samples,
     write_contexts,
+    prediction_from_dict,
+    prediction_to_dict,
     write_predictions,
     write_samples,
 )
@@ -246,8 +253,8 @@ class TestJsonl:
     def test_prediction_round_trip(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         records = _records()
-        write_predictions(path, records)
-        assert read_predictions(path) == records
+        write_predictions(path, PredictionColumns.from_records(records))
+        assert read_predictions(path).to_records() == records
 
     def test_record_lines_are_pinned(self, tmp_path):
         # Keys follow the record dataclass's field order, so a field reorder fails here.
@@ -259,7 +266,7 @@ class TestJsonl:
             '{"sample_id": "s1", "knowledge_type": "historical", "model_id": "m", "prompt_hash": "ab12", '
             '"text": "Ctx.", "created_at": "t0"}\n'
         )
-        write_predictions(tmp_path / "preds.jsonl", _records()[:2])
+        write_predictions(tmp_path / "preds.jsonl", PredictionColumns.from_records(_records()[:2]))
         assert (tmp_path / "preds.jsonl").read_text() == (
             '{"sample_id": "r0", "base": [0.5, 0.3, 0.2], "with_context": null, "fused": null, "delta": 0.2, '
             '"is_hard": true, "final_label": "negative", "strategy": "cf", "knowledge_type": null}\n'
@@ -270,13 +277,13 @@ class TestJsonl:
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_predictions(path, [])
+        write_predictions(path, PredictionColumns.from_records([]))
         assert path.read_text() == ""
-        assert read_predictions(path) == []
+        assert read_predictions(path).to_records() == []
 
     def test_truncated_line_is_named(self, tmp_path):
         path = tmp_path / "trunc.jsonl"
-        write_predictions(path, _records())
+        write_predictions(path, PredictionColumns.from_records(_records()))
         good = path.read_text().splitlines()
         bad = "\n".join(good + [good[0][: len(good[0]) // 2]])
         path.write_text(bad)
@@ -371,3 +378,147 @@ class TestReaderErrors:
         with pytest.raises(SchemaError) as info:
             read(path)
         assert str(info.value) == f"{path}: line 3: bad {what} record: {reason}"
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestRepeatedIds:
+    @pytest.mark.parametrize("kind", ["prediction", "output"])
+    def test_repeated_id_names_file_id_and_line(self, tmp_path, kind):
+        good, read, _ = _GOOD_ROWS[kind]
+        key = "sample_id"
+        rows = [{**good, key: "s000000"}, {**good, key: "s000002"}, {**good, key: "s000000"}]
+        path = tmp_path / "rows.jsonl"
+        _write_rows(path, rows)
+        with pytest.raises(SchemaError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: line 3: sample id 's000000' repeats an earlier row"
+
+    def test_repeat_is_found_on_the_row_decoder_path_too(self, tmp_path):
+        # A numeric id is not in the plain form, so the rows go through output_from_dict; 7 and "7" are one id.
+        good = _GOOD_ROWS["output"][0]
+        path = tmp_path / "rows.jsonl"
+        _write_rows(path, [{**good, "sample_id": 7}, {**good, "sample_id": "8"}, {**good, "sample_id": "7"}])
+        with pytest.raises(SchemaError, match=r"line 3: sample id '7' repeats an earlier row"):
+            read_outputs(path)
+
+
+class TestColumnReaders:
+    @pytest.mark.parametrize("kind", ["prediction", "output"])
+    def test_bad_row_after_a_thousand_good_ones_names_line_1001(self, tmp_path, kind):
+        good, read, what = _GOOD_ROWS[kind]
+        rows = [{**good, "sample_id": f"s{i:06d}"} for i in range(1000)]
+        rows.append({**good, "sample_id": "last", "probs" if kind == "output" else "base": [0.5, 0.5, 0.5]})
+        path = tmp_path / "rows.jsonl"
+        _write_rows(path, rows)
+        with pytest.raises(SchemaError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: line 1001: bad {what} record: probabilities sum to 1.5, expected 1"
+
+    @pytest.mark.parametrize(
+        "kind, changes",
+        [
+            ("output", {"sample_id": 12}),
+            ("output", {"probs": ["0.2", 0.3, 0.5]}),
+            ("output", {"probs": [False, False, True], "raw_scores": None}),
+            ("prediction", {"final_label": " Negative "}),
+            ("prediction", {"final_label": 0}),
+            ("prediction", {"delta": "0.2"}),
+            ("prediction", {"strategy": 5}),
+        ],
+    )
+    def test_rows_the_columns_decline_are_decoded_as_before(self, tmp_path, kind, changes):
+        good, read, what = _GOOD_ROWS[kind]
+        path = tmp_path / "rows.jsonl"
+        _write_rows(path, [good, {**good, "sample_id": "s2", **changes}])
+        records = _read_typed(path, output_from_dict if kind == "output" else prediction_from_dict, what)
+        pack = OutputColumns.from_outputs if kind == "output" else PredictionColumns.from_records
+        assert same_columns(read(path), pack(records))
+
+
+_float = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e-300]),
+)
+_dist_values = st.one_of(
+    st.sampled_from([[1, 0, 0], [0, 1, 0], [0.5, -0.0, 0.5], [1.0, 5e-324, 0.0], [0, 0.5, 0.5]]),
+    st.lists(_float, min_size=3, max_size=3).filter(lambda v: sum(v) > 0).map(
+        lambda v: list(PolarityDistribution.normalized(v).probs)
+    ),
+)
+_ids = st.text(min_size=1, max_size=6)
+_kinds = st.one_of(st.none(), st.text(max_size=8))
+
+
+@st.composite
+def _output_rows(draw):
+    ids = draw(st.lists(_ids, min_size=0, max_size=12, unique=True))
+    rows = []
+    for sample_id in ids:
+        row = {"sample_id": sample_id, "conditioned_on": draw(_kinds)}
+        if draw(st.booleans()):
+            scores = draw(st.lists(st.one_of(st.integers(-50, 5), st.floats(-50.0, 5.0)), min_size=3, max_size=3))
+            row["probs"] = list(softmax(scores).probs)
+            row["raw_scores"] = scores
+            if draw(st.booleans()):
+                row["normalization_mode"] = draw(st.sampled_from(["total", "per-token"]))
+        else:
+            row["probs"] = draw(_dist_values)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def _prediction_rows(draw):
+    ids = draw(st.lists(_ids, min_size=0, max_size=12, unique=True))
+    return [
+        {
+            "sample_id": sample_id,
+            "base": draw(_dist_values),
+            "with_context": draw(st.one_of(st.none(), _dist_values)),
+            "fused": draw(st.one_of(st.none(), _dist_values)),
+            "delta": draw(st.one_of(st.integers(-(2**70), 2**70), _float, st.floats(allow_nan=False))),
+            "is_hard": draw(st.booleans()),
+            "final_label": draw(st.sampled_from(["negative", "neutral", "positive"])),
+            "strategy": draw(st.text(max_size=8)),
+            "knowledge_type": draw(_kinds),
+        }
+        for sample_id in ids
+    ]
+
+
+def _through_json(rows):
+    """The rows as read_jsonl gives them back: json.dumps, then json.loads, per line."""
+    return [json.loads(json.dumps(row, ensure_ascii=False)) for row in rows]
+
+
+@given(rows=_output_rows())
+def test_output_columns_equal_the_row_decoder_bit_for_bit(rows):
+    rows = _through_json(rows)
+    assert same_columns(_output_columns(rows), OutputColumns.from_outputs([output_from_dict(r) for r in rows]))
+
+
+@given(rows=_prediction_rows())
+def test_prediction_columns_equal_the_row_decoder_bit_for_bit(rows):
+    rows = _through_json(rows)
+    want = PredictionColumns.from_records([prediction_from_dict(r) for r in rows])
+    assert same_columns(_prediction_columns(rows), want)
+
+
+@given(
+    rows=_prediction_rows(),
+    delta=st.sampled_from([None, float("nan"), float("inf"), -float("inf")]),
+    odd=st.sampled_from(["", 'q"uote', "back\\slash", "tab\there", "é中文", " ", "\x00"]),
+)
+def test_written_lines_equal_json_dumps_of_each_record(tmp_path_factory, rows, delta, odd):
+    records = [prediction_from_dict(r) for r in _through_json(rows)]
+    if records:
+        records[0] = replace(records[0], sample_id=odd + records[0].sample_id, knowledge_type=odd)
+        if delta is not None:
+            records[-1] = replace(records[-1], delta=delta)
+    path = tmp_path_factory.mktemp("written") / "fused.jsonl"
+    write_predictions(path, PredictionColumns.from_records(records))
+    want = "".join(json.dumps(prediction_to_dict(r), ensure_ascii=False) + "\n" for r in records)
+    assert path.read_bytes() == want.encode("utf-8")

@@ -6,11 +6,12 @@ from dataclasses import replace
 import pytest
 
 from conftest import make_mock_backend, make_samples, write_config
-from ctxsent.classifier import ClassifierOutput, predict_batch, write_outputs
+from ctxsent.classifier import ClassifierOutput, OutputColumns, predict_batch, write_outputs
 from ctxsent.cli import cmd_compare_types, cmd_evaluate, cmd_fuse, cmd_sweep, load_config
 from ctxsent.datamodel import (
     POLARITIES,
     PolarityDistribution,
+    PredictionColumns,
     PredictionRecord,
     Sample,
     argmax_label,
@@ -27,7 +28,7 @@ from ctxsent.evaluate import (
     rows_to_csv,
     sweep,
 )
-from ctxsent.fusion import STRATEGIES, FusionConfig, base_records, fuse_records
+from ctxsent.fusion import STRATEGIES, FusionConfig, base_set, fuse_records
 from ctxsent.prompts import registry_templates
 
 NEG, NEU, POS = POLARITIES
@@ -320,13 +321,14 @@ class TestCompareKnowledgeTypes:
     def test_identical_sets_identical_rows(self):
         golds = {f"s{i}": POLARITIES[i % 3] for i in range(9)}
         records = self._records_for(golds)
-        rows = compare_knowledge_types(records, {"a": records, "b": list(records)}, golds)
+        columns = PredictionColumns.from_records(records)
+        rows = compare_knowledge_types(columns, {"a": columns, "b": PredictionColumns.from_records(list(records))}, golds)
         assert rows[1].macro_f1 == rows[2].macro_f1 == rows[0].macro_f1
 
     def test_base_row_matches_compute_metrics(self):
         golds = {f"s{i}": POLARITIES[i % 3] for i in range(9)}
         base = self._records_for(golds, flip_ids={"s0"})
-        rows = compare_knowledge_types(base, {}, golds)
+        rows = compare_knowledge_types(PredictionColumns.from_records(base), {}, golds)
         direct = compute_metrics([golds[r.sample_id] for r in base], [r.final_label for r in base])
         assert rows[0].knowledge_type == "base"
         assert rows[0].macro_f1 == direct.macro_f1
@@ -334,20 +336,24 @@ class TestCompareKnowledgeTypes:
     def test_registry_types_give_twelve_rows(self):
         golds = {f"s{i}": POLARITIES[i % 3] for i in range(6)}
         records = self._records_for(golds)
-        per_type = {t.knowledge_type: records for t in registry_templates()}
-        rows = compare_knowledge_types(records, per_type, golds)
+        columns = PredictionColumns.from_records(records)
+        per_type = {t.knowledge_type: columns for t in registry_templates()}
+        rows = compare_knowledge_types(columns, per_type, golds)
         assert len(rows) == 12
 
     def test_id_mismatch_rejected(self):
         golds = {f"s{i}": POLARITIES[i % 3] for i in range(4)}
         base = self._records_for(golds)
         with pytest.raises(ValueError, match="different ids"):
-            compare_knowledge_types(base, {"a": base[:-1]}, golds)
+            compare_knowledge_types(
+                PredictionColumns.from_records(base), {"a": PredictionColumns.from_records(base[:-1])}, golds
+            )
 
     def test_csv_shape(self):
         golds = {f"s{i}": POLARITIES[i % 3] for i in range(3)}
         records = self._records_for(golds)
-        rows = compare_knowledge_types(records, {"historical": records}, golds)
+        columns = PredictionColumns.from_records(records)
+        rows = compare_knowledge_types(columns, {"historical": columns}, golds)
         text = rows_to_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0] == "knowledge_type,accuracy,macro_f1,n"
@@ -368,14 +374,16 @@ class TestReportFiles:
         ctx_dists = [dists[0], (0.9, 0.05, 0.05), *dists[2:]]
         base = [ClassifierOutput(s.id, PolarityDistribution(d), None) for s, d in zip(samples, dists)]
         ctx = [ClassifierOutput(s.id, PolarityDistribution(d), None) for s, d in zip(samples, ctx_dists)]
+        base_columns, ctx_columns = OutputColumns.from_outputs(base), OutputColumns.from_outputs(ctx)
         run = tmp_path / "out" / "run"
         run.mkdir(parents=True)
         write_samples(run / "samples.jsonl", samples)
         write_outputs(run / "predictions.base.jsonl", base)
         write_outputs(run / "predictions.historical.jsonl", ctx)
-        cmd_evaluate(config, samples, base_records(base, alpha=0.3), run / "predictions.base.jsonl")
-        cmd_sweep(config, samples, base, ctx, "historical")
-        cmd_compare_types(config, samples, base, {"historical": cmd_fuse(config, base, ctx, "historical")})
+        cmd_evaluate(config, samples, base_set(base_columns, alpha=0.3), run / "predictions.base.jsonl")
+        cmd_sweep(config, samples, base_columns, ctx_columns, "historical")
+        fused = cmd_fuse(config, base_columns, ctx_columns, "historical")
+        cmd_compare_types(config, samples, base_columns, {"historical": fused})
 
         def json_text(payload):
             return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -115,6 +115,11 @@ class TestFuseCf:
         with pytest.raises(ValueError, match="alpha"):
             FusionConfig(alpha=1.01)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_cxmi_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="cxmi_threshold must be finite and positive"):
+            FusionConfig(strategy="cxmi", cxmi_threshold=threshold)
+
 
 class TestFuseAverage:
     def test_identical_inputs(self):
@@ -305,7 +310,7 @@ def test_gate_rule_table(strategy, gate_alternatives, hard, with_context):
     assert record.delta == delta(p)
     assert record.with_context == (ctx.dist if ctx else None)
     if not gate_open:
-        assert record.fused is p
+        assert _bits(record.fused.probs) == _bits(p.probs)
         assert record.final_label is argmax_label(p)
 
 
