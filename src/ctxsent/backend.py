@@ -81,10 +81,11 @@ class MockOracleParams:
     def __post_init__(self) -> None:
         for name in ("base_accuracy", "hard_context_accuracy", "hard_fraction", "hard_penalty"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if isinstance(value, bool) or not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be within [0, 1], got {value}")
-        if self.easy_context_accuracy is not None and not 0.0 <= self.easy_context_accuracy <= 1.0:
-            raise ConfigurationError(f"easy_context_accuracy must be within [0, 1], got {self.easy_context_accuracy}")
+        easy = self.easy_context_accuracy
+        if easy is not None and (isinstance(easy, bool) or not 0.0 <= easy <= 1.0):
+            raise ConfigurationError(f"easy_context_accuracy must be within [0, 1], got {easy}")
 
     @property
     def _spread(self) -> float:

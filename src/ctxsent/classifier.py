@@ -66,15 +66,13 @@ class ClassifierOutput:
 class OutputColumns:
     """Classifier outputs as columns, one row per sample: the column form of a list of ClassifierOutput.
 
-    probs and raw are (n, 3) float64 rows. A row whose normalization is
-    None came without raw scores, and its raw row is zeros.
+    probs are (n, 3) float64 rows. Raw scores are checked where rows are
+    read and not kept.
     """
 
     ids: tuple[str, ...]
     probs: np.ndarray
     conditioned_on: tuple[str | None, ...]
-    raw: np.ndarray
-    normalization: tuple[str | None, ...]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -85,9 +83,6 @@ class OutputColumns:
             ids=tuple(o.sample_id for o in outputs),
             probs=np.array([o.dist.probs for o in outputs], dtype=np.float64).reshape(-1, 3),
             conditioned_on=tuple(o.conditioned_on for o in outputs),
-            raw=np.array([(0.0, 0.0, 0.0) if o.raw is None else o.raw.scores for o in outputs], dtype=np.float64)
-            .reshape(-1, 3),
-            normalization=tuple(None if o.raw is None else o.raw.normalization_mode for o in outputs),
         )
 
 
@@ -228,24 +223,15 @@ def _output_columns(rows: list[dict[str, Any]]) -> OutputColumns:
     """
     ids = [row["sample_id"] for row in rows]
     probs = _number_rows([row["probs"] for row in rows])
-    raw_lists = [row.get("raw_scores") for row in rows]
-    modes = [None if r is None else row.get("normalization_mode", "total") for row, r in zip(rows, raw_lists)]
     _require(_of_types(ids, {str}) and bool(_valid_rows(probs).all()))
-    raw = np.zeros_like(probs)
-    with_raw = [i for i, r in enumerate(raw_lists) if r is not None]
+    with_raw = [i for i, row in enumerate(rows) if row.get("raw_scores") is not None]
     if with_raw:
-        scores = _number_rows([raw_lists[i] for i in with_raw])
-        _require(bool(np.isfinite(scores).all()) and all(modes[i] in NORMALIZATION_MODES for i in with_raw))
+        scores = _number_rows([rows[i]["raw_scores"] for i in with_raw])
+        modes = {rows[i].get("normalization_mode", "total") for i in with_raw}
+        _require(bool(np.isfinite(scores).all()) and modes <= set(NORMALIZATION_MODES))
         for soft, dist in zip(map(_softmax_probs, scores.tolist()), probs[with_raw].tolist()):
             _require(max(abs(a - b) for a, b in zip(soft, dist)) <= 1e-9)
-        raw[with_raw] = scores
-    return OutputColumns(
-        ids=tuple(ids),
-        probs=probs,
-        conditioned_on=tuple(row.get("conditioned_on") for row in rows),
-        raw=raw,
-        normalization=tuple(modes),
-    )
+    return OutputColumns(ids=tuple(ids), probs=probs, conditioned_on=tuple(row.get("conditioned_on") for row in rows))
 
 
 def read_outputs(path: str | Path) -> OutputColumns:

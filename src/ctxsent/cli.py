@@ -36,6 +36,7 @@ from .backend import (
 from .classifier import OutputColumns, predict_batch, read_outputs, write_outputs
 from .datamodel import (
     ContextRecord,
+    DatasetError,
     Polarity,
     PredictionColumns,
     Sample,
@@ -113,10 +114,17 @@ class RunConfig:
     config_hash: str = ""
 
 
+def _number(value: Any) -> Any:
+    """The value unless it is true or false, which Python would read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
 def _to_int(value: Any) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected a whole number, got {value!r}")
-    return int(value)
+    return int(_number(value))
 
 
 def _to_bool(value: Any) -> bool:
@@ -139,10 +147,10 @@ def _to_mapping(value: Any) -> Mapping[str, Any]:
 
 # Config values converted by their field's annotation; any other field takes its value as given.
 _COERCIONS: dict[Any, Callable[[Any], Any]] = {
-    float: float,
+    float: lambda value: float(_number(value)),
     int: _to_int,
     bool: _to_bool,
-    tuple[float, ...]: lambda values: tuple(float(v) for v in values),
+    tuple[float, ...]: lambda values: tuple(float(_number(v)) for v in values),
     tuple[str, ...]: _to_strings,
     Mapping[str, Any] | None: _to_mapping,
 }
@@ -320,7 +328,13 @@ def _instruction_template(config: RunConfig) -> str | None:
     return None
 
 
-def _golds(samples: Sequence[Sample]) -> dict[str, Polarity]:
+def _golds(samples: Sequence[Sample], ids: Sequence[str]) -> dict[str, Polarity]:
+    """Gold labels by sample id; raises DatasetError naming up to five of the ids to score that no sample has."""
+    known = {s.id for s in samples}
+    absent = [i for i in ids if i not in known]
+    if absent:
+        more = "..." if len(absent) > 5 else ""
+        raise DatasetError(f"ids absent from samples.jsonl cannot be scored: {absent[:5]}{more}")
     return {s.id: s.gold for s in samples if s.gold is not None}
 
 
@@ -440,7 +454,7 @@ def cmd_evaluate(
 ) -> Path:
     """Score a prediction set, read from or written to predictions_path, against the samples' gold labels."""
     directory = run_dir(config)
-    gold = gold_indices(predictions.ids, _golds(samples))
+    gold = gold_indices(predictions.ids, _golds(samples, predictions.ids))
     report = label_metrics(gold, predictions.labels)
     scored = set(predictions.ids)
     unscored = [s.id for s in samples if s.id not in scored]
@@ -478,7 +492,7 @@ def cmd_sweep(
     result = sweep_outputs(
         base,
         ctx,
-        _golds(samples),
+        _golds(samples, base.ids),
         alpha_grid=config.sweep.alpha_grid,
         beta_grid=config.sweep.beta_grid,
         fusion=config.fusion,
@@ -503,7 +517,7 @@ def cmd_compare_types(
 ) -> Path:
     """One row per fused set in per_type, keyed by knowledge type, after the base row."""
     directory = run_dir(config)
-    rows = compare_knowledge_types(base_set(base, alpha=config.fusion.alpha), per_type, _golds(samples))
+    rows = compare_knowledge_types(base_set(base, alpha=config.fusion.alpha), per_type, _golds(samples, base.ids))
     out = directory / "knowledge_types.csv"
     out.write_text(rows_to_csv(rows), encoding="utf-8")
     inputs = [directory / "samples.jsonl", directory / "predictions.base.jsonl"]

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -138,6 +139,20 @@ def _valid_rows(rows: np.ndarray) -> np.ndarray:
     )
 
 
+def _js(p: Sequence[float], q: Sequence[float]) -> float:
+    """Base-2 Jensen-Shannon divergence of two probability vectors, clamped into [0, 1]."""
+
+    def kl(a: Sequence[float], m: Sequence[float]) -> float:
+        total = 0.0
+        for ai, mi in zip(a, m):
+            if ai > 0.0:
+                total += ai * math.log2(ai / mi)
+        return total
+
+    mid = [(a + b) / 2.0 for a, b in zip(p, q)]
+    return min(1.0, max(0.0, 0.5 * kl(p, mid) + 0.5 * kl(q, mid)))
+
+
 def argmax_label(dist: PolarityDistribution) -> Polarity:
     """Polarity with the highest probability; ties go to the lowest canonical index."""
     best = 0
@@ -217,7 +232,8 @@ class PredictionColumns:
 
     base, with_context and fused are (n, 3) float64 rows. Where has_context
     or has_fused is False the record holds null there, and the row repeats
-    the base row. labels are the final labels' indices.
+    the base row. delta is each base row's confidence gap and labels are the
+    final labels' indices. An unfused set has strategy "base".
     """
 
     ids: tuple[str, ...]
@@ -234,6 +250,17 @@ class PredictionColumns:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def js_weight(self) -> np.ndarray:
+        """The js strategy's weight per row: each base row's divergence from uniform, through math.log2.
+
+        np.log2 differs from math.log2 in the last bit on some inputs, which
+        would change fused js rows, so the weight stays a per-row scalar
+        computation, made once per set of columns.
+        """
+        uniform = PolarityDistribution.uniform().probs
+        return np.array([_js(row, uniform) for row in self.base.tolist()], dtype=np.float64)
 
     @classmethod
     def from_records(cls, records: Sequence[PredictionRecord]) -> "PredictionColumns":
@@ -375,14 +402,16 @@ def prediction_from_dict(row: Mapping[str, Any]) -> PredictionRecord:
     )
 
 
-def _read_typed(path: str | Path, parse: Any, what: str) -> list[Any]:
-    """Decode every row of a JSONL file with parse.
+def _read_typed(
+    path: str | Path, parse: Any, what: str, numbered: Iterable[tuple[int, dict[str, Any]]] | None = None
+) -> list[Any]:
+    """Decode every row of a JSONL file with parse; numbered holds its (line, row) pairs if already read.
 
     parse raises KeyError for a missing field and TypeError or ValueError for
     a bad value; the first bad row raises a SchemaError naming file and line.
     """
     records = []
-    for lineno, row in read_jsonl(path):
+    for lineno, row in read_jsonl(path) if numbered is None else numbered:
         try:
             records.append(parse(row))
         except (KeyError, TypeError, ValueError) as exc:
@@ -397,7 +426,8 @@ def write_samples(path: str | Path, samples: Iterable[Sample]) -> None:
 
 def read_samples(path: str | Path) -> list[Sample]:
     samples = _read_typed(path, sample_from_dict, "sample")
-    _check_unique_ids(s.id for s in samples)
+    # The generator opens the file only if an id repeats, to find the line.
+    _check_repeats(path, [s.id for s in samples], read_jsonl(path))
     return samples
 
 
@@ -516,22 +546,32 @@ def _read_columns(
     from_rows gathers each field into a list and builds each array once; it
     raises KeyError, TypeError, ValueError or OverflowError for any row that
     is not in the plain form (JSON numbers, valid distributions, string
-    ids). Then every row is decoded with parse from the top, as _read_typed
-    does, so the first bad row raises the SchemaError it always did, and
-    the decoded records are packed into columns. A sample id that repeats
-    an earlier row's raises a SchemaError naming file, id and line.
+    ids). Then every row already read is decoded with parse from the top,
+    as _read_typed does, so the first bad row raises the SchemaError it
+    always did, and the decoded records are packed into columns. The file
+    is parsed once either way. A sample id that repeats an earlier row's
+    raises a SchemaError naming file, id and line.
     """
+    numbered = list(read_jsonl(path))
     try:
-        columns = from_rows([row for _, row in read_jsonl(path)])
+        columns = from_rows([row for _, row in numbered])
     except (KeyError, TypeError, ValueError, OverflowError):
-        columns = pack(_read_typed(path, parse, what))
-    if len(set(columns.ids)) < len(columns.ids):
+        columns = pack(_read_typed(path, parse, what, numbered))
+    _check_repeats(path, columns.ids, numbered)
+    return columns
+
+
+def _check_repeats(path: str | Path, ids: Sequence[str], numbered: Iterable[tuple[int, Any]]) -> None:
+    """Raise a SchemaError naming file, id and line for the first id that repeats an earlier row's.
+
+    numbered gives each row's (line, row) pair and is iterated only when an id repeats.
+    """
+    if len(set(ids)) < len(ids):
         seen: set[str] = set()
-        for sample_id, (lineno, _) in zip(columns.ids, read_jsonl(path)):
+        for sample_id, (lineno, _) in zip(ids, numbered):
             if sample_id in seen:
                 raise SchemaError(f"{path}: line {lineno}: sample id {sample_id!r} repeats an earlier row")
             seen.add(sample_id)
-    return columns
 
 
 def read_predictions(path: str | Path) -> PredictionColumns:

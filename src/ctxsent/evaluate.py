@@ -18,7 +18,7 @@ from .datamodel import (
     PredictionColumns,
     PredictionRecord,
 )
-from .fusion import FusionConfig, fuse_arrays, gaps, join_context
+from .fusion import FusionConfig, base_set, fuse_arrays, gaps
 
 # Bound here though unused: perfbench/tracing.py wraps evaluate.fuse_records by name.
 from .fusion import fuse_records  # noqa: F401
@@ -242,7 +242,7 @@ def sweep_outputs(
     if not alpha_grid or not beta_grid:
         raise ValueError("alpha_grid and beta_grid must be non-empty")
     gold = gold_indices(base.ids, golds)
-    columns = join_context(base, ctx)
+    columns = base_set(base, ctx=ctx)
 
     def evaluate_point(alpha: float, beta: float) -> GridPoint:
         labels = fuse_arrays(columns, replace(fusion, alpha=alpha, beta=beta)).labels

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .datamodel import (
     PolarityDistribution,
     PredictionColumns,
     PredictionRecord,
+    _js,
     _valid_rows,
     argmax_label,
 )
@@ -124,18 +124,6 @@ def js_divergence(p: PolarityDistribution, q: PolarityDistribution) -> float:
     return _js(p.probs, q.probs)
 
 
-def _js(p: Sequence[float], q: Sequence[float]) -> float:
-    def kl(a: Sequence[float], m: Sequence[float]) -> float:
-        total = 0.0
-        for ai, mi in zip(a, m):
-            if ai > 0.0:
-                total += ai * math.log2(ai / mi)
-        return total
-
-    mid = [(a + b) / 2.0 for a, b in zip(p, q)]
-    return min(1.0, max(0.0, 0.5 * kl(p, mid) + 0.5 * kl(q, mid)))
-
-
 def fuse_js(p: PolarityDistribution, p_hat: PolarityDistribution) -> PolarityDistribution:
     """Interpolate with a per-sample weight: the JS divergence of p from uniform.
 
@@ -194,56 +182,44 @@ def apply_strategy(
     return FusedResult(fused=fused, final_label=argmax_label(fused), is_hard=hard, delta=gap)
 
 
-@dataclass(frozen=True, eq=False)
-class FusionColumns:
-    """One prediction set as columns, in base order, for fuse_arrays.
-
-    base and ctx are (n, 3) float64 rows; where has_ctx is False the sample
-    has no context-conditioned prediction and its ctx row repeats its base
-    row. gap is delta of each base row. ids name the rows in error messages.
-    """
-
-    ids: tuple[str, ...]
-    base: np.ndarray
-    ctx: np.ndarray
-    has_ctx: np.ndarray
-    gap: np.ndarray
-
-    @cached_property
-    def js_weight(self) -> np.ndarray:
-        """js_divergence of each base row from uniform, through math.log2.
-
-        np.log2 differs from math.log2 in the last bit on some inputs, which
-        would change fused js rows, so the weight stays a per-row scalar
-        computation, made once per set of columns.
-        """
-        uniform = PolarityDistribution.uniform().probs
-        return np.array([_js(row, uniform) for row in self.base.tolist()], dtype=np.float64)
-
-
-@dataclass(frozen=True, eq=False)
-class FusedColumns:
-    """fuse_arrays' result: per row the gap, the gate, the fused row and its argmax label index."""
-
-    gap: np.ndarray
-    hard: np.ndarray
-    fused: np.ndarray
-    labels: np.ndarray
-
-
 def gaps(rows: np.ndarray) -> np.ndarray:
     """delta of each (n, 3) row, bit for bit."""
     return np.clip(2.0 * rows.max(axis=1) + rows.min(axis=1) - 1.0, 0.0, 1.0)
 
 
-def join_context(base: OutputColumns, ctx: OutputColumns) -> FusionColumns:
-    """Columns for the base outputs and their context outputs, joined by sample id."""
-    position = {sample_id: j for j, sample_id in enumerate(ctx.ids)}
-    index = np.array([position.get(sample_id, -1) for sample_id in base.ids], dtype=np.intp)
-    has_ctx = index >= 0
-    ctx_rows = base.probs.copy()
-    ctx_rows[has_ctx] = ctx.probs[index[has_ctx]]
-    return FusionColumns(ids=base.ids, base=base.probs, ctx=ctx_rows, has_ctx=has_ctx, gap=gaps(base.probs))
+def base_set(
+    base: OutputColumns, alpha: float = 0.3, ctx: OutputColumns | None = None, knowledge_type: str | None = None
+) -> PredictionColumns:
+    """The unfused prediction set (strategy "base"): base rows, with ctx's rows joined by sample id when given.
+
+    A sample with no row in ctx has no context-conditioned prediction. A
+    row's knowledge type is the one given, else its context output's
+    conditioned_on.
+    """
+    n = len(base)
+    with_context, has_context, types = base.probs, np.zeros(n, dtype=bool), (knowledge_type,) * n
+    if ctx is not None:
+        position = {sample_id: j for j, sample_id in enumerate(ctx.ids)}
+        index = np.array([position.get(sample_id, -1) for sample_id in base.ids], dtype=np.intp)
+        has_context = index >= 0
+        with_context = base.probs.copy()
+        with_context[has_context] = ctx.probs[index[has_context]]
+        if knowledge_type is None:
+            types = tuple(ctx.conditioned_on[j] if j >= 0 else None for j in index.tolist())
+    gap = gaps(base.probs)
+    return PredictionColumns(
+        ids=base.ids,
+        base=base.probs,
+        with_context=with_context,
+        has_context=has_context,
+        fused=base.probs,
+        has_fused=np.zeros(n, dtype=bool),
+        delta=gap,
+        is_hard=gap <= alpha,
+        labels=base.probs.argmax(axis=1),
+        strategy=("base",) * n,
+        knowledge_type=types,
+    )
 
 
 def _mix(a: np.ndarray, b: np.ndarray, weight: float | np.ndarray) -> np.ndarray:
@@ -251,9 +227,9 @@ def _mix(a: np.ndarray, b: np.ndarray, weight: float | np.ndarray) -> np.ndarray
     return np.where(weight == 0.0, a, np.where(weight == 1.0, b, a + weight * (b - a)))
 
 
-def _strategy_rows(columns: FusionColumns, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
+def _strategy_rows(columns: PredictionColumns, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Every row fused by the configured strategy, and per row whether the scalar path would accept it."""
-    a, b = columns.base, columns.ctx
+    a, b = columns.base, columns.with_context
     if config.strategy == "cf":
         mixed = _mix(a, b, config.beta)
     elif config.strategy == "average":
@@ -275,79 +251,44 @@ def _strategy_rows(columns: FusionColumns, config: FusionConfig) -> tuple[np.nda
     return mixed, _valid_rows(mixed)
 
 
-def fuse_arrays(columns: FusionColumns, config: FusionConfig) -> FusedColumns:
-    """apply_strategy over every row at once, with the same floating-point operations in the same order.
+def fuse_arrays(columns: PredictionColumns, config: FusionConfig) -> PredictionColumns:
+    """apply_strategy over every row of a set at once, in the same floating-point operations.
 
-    The results equal apply_strategy's bit for bit, and labels are argmax
+    The result is the set with its fused rows, gate, labels and strategy
+    replaced. They equal apply_strategy's bit for bit, and labels are argmax
     indices with ties to the lowest. Rows the gate leaves out pass through
     as base rows and need no context prediction. The first row in input
     order that apply_strategy would reject (a gated-in sample without a
     context prediction, or a fused row that is not a distribution) raises
     apply_strategy's own ValueError for it, prefixed with the sample id.
     """
-    hard = columns.gap <= config.alpha
+    hard = columns.delta <= config.alpha
     gated_in = hard if config.strategy == "cf" or config.gate_alternatives else np.ones_like(hard)
     mixed, valid = _strategy_rows(columns, config)
-    for i in np.flatnonzero(gated_in & ~(columns.has_ctx & valid)):
+    for i in np.flatnonzero(gated_in & ~(columns.has_context & valid)):
         p = PolarityDistribution(tuple(columns.base[i].tolist()))
-        p_hat = PolarityDistribution(tuple(columns.ctx[i].tolist())) if columns.has_ctx[i] else None
+        p_hat = PolarityDistribution(tuple(columns.with_context[i].tolist())) if columns.has_context[i] else None
         try:
             apply_strategy(p, p_hat, config)
         except ValueError as exc:
             raise ValueError(f"sample {columns.ids[i]!r}: {exc}") from None
     fused = np.where(gated_in[:, None], mixed, columns.base)
-    return FusedColumns(gap=columns.gap, hard=hard, fused=fused, labels=fused.argmax(axis=1))
+    n = len(columns)
+    return replace(
+        columns,
+        fused=fused,
+        has_fused=np.ones(n, dtype=bool),
+        is_hard=hard,
+        labels=fused.argmax(axis=1),
+        strategy=(config.strategy,) * n,
+    )
 
 
 def fuse_outputs(
     base: OutputColumns, ctx: OutputColumns, config: FusionConfig, knowledge_type: str | None = None
 ) -> PredictionColumns:
-    """Join base and context outputs by sample id and fuse them in one fuse_arrays call.
-
-    A row's knowledge type is the one given, else its context output's
-    conditioned_on.
-    """
-    columns = join_context(base, ctx)
-    result = fuse_arrays(columns, config)
-    n = len(columns.ids)
-    if knowledge_type is None:
-        conditioned = dict(zip(ctx.ids, ctx.conditioned_on))
-        types = tuple(conditioned.get(sample_id) for sample_id in columns.ids)
-    else:
-        types = (knowledge_type,) * n
-    return PredictionColumns(
-        ids=columns.ids,
-        base=columns.base,
-        with_context=columns.ctx,
-        has_context=columns.has_ctx,
-        fused=result.fused,
-        has_fused=np.ones(n, dtype=bool),
-        delta=result.gap,
-        is_hard=result.hard,
-        labels=result.labels,
-        strategy=(config.strategy,) * n,
-        knowledge_type=types,
-    )
-
-
-def base_set(outputs: OutputColumns, alpha: float = 0.3) -> PredictionColumns:
-    """Base-only outputs as a prediction set (strategy "base", no fusion)."""
-    gap = gaps(outputs.probs)
-    n = len(outputs)
-    absent = np.zeros(n, dtype=bool)
-    return PredictionColumns(
-        ids=outputs.ids,
-        base=outputs.probs,
-        with_context=outputs.probs,
-        has_context=absent,
-        fused=outputs.probs,
-        has_fused=absent,
-        delta=gap,
-        is_hard=gap <= alpha,
-        labels=outputs.probs.argmax(axis=1),
-        strategy=("base",) * n,
-        knowledge_type=(None,) * n,
-    )
+    """Join base and context outputs by sample id (see base_set) and fuse them in one fuse_arrays call."""
+    return fuse_arrays(base_set(base, ctx=ctx, knowledge_type=knowledge_type), config)
 
 
 def fuse_records(

@@ -85,6 +85,15 @@ class TestConfig:
             ({"generator_backend": {"timeout": -5}}, "timeout must be finite and > 0, got -5.0"),
             ({"classifier_backend": {"timeout": math.nan}}, "timeout must be finite and > 0, got nan"),
             ({"classifier_backend": {"max_retries": -3}}, "max_retries must be >= 0, got -3"),
+            ({"dataset": {"path": "x"}, "fusion": {"alpha": True, "beta": False}}, "fusion.alpha: expected a number, got True"),
+            ({"fusion": {"beta": False}}, "fusion.beta: expected a number, got False"),
+            ({"classifier_backend": {"max_retries": True}}, "backend.max_retries: expected a number, got True"),
+            ({"generator_backend": {"concurrency_limit": True}}, "backend.concurrency_limit: expected a number, got True"),
+            ({"seed": False}, "config.seed: expected a number, got False"),
+            ({"sweep": {"alpha_grid": [True]}}, "sweep.alpha_grid: expected a number, got True"),
+            ({"generator_backend": {"mock": {"base_accuracy": True}}}, "base_accuracy must be within [0, 1], got True"),
+            ({"generator_backend": {"mock": {"easy_context_accuracy": False}}},
+             "easy_context_accuracy must be within [0, 1], got False"),
         ],
     )
     def test_config_table(self, tmp_path, capsys, changes, error):
@@ -307,6 +316,33 @@ class TestPipelineCommands:
         assert metrics["n"] == 29
         err = capsys.readouterr().err
         assert f"scored 29 of 30 samples; 1 have no prediction (e.g. ['{dropped}'])" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("unknown id", "ids absent from samples.jsonl cannot be scored: ['not-a-sample']"),
+            ("no label", "samples without gold labels cannot be scored: ['{first}']"),
+        ],
+    )
+    def test_evaluate_tells_unknown_ids_from_unlabelled_samples(self, tmp_path, capsys, edit, message):
+        config_path = write_config(tmp_path / "config.json")
+        assert _run("pipeline", "--config", config_path) == 0
+        run_path = tmp_path / "out" / "run"
+        lines = (run_path / "predictions.base.jsonl").read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])["sample_id"]
+        if edit == "unknown id":
+            lines[1] = json.dumps({**json.loads(lines[1]), "sample_id": "not-a-sample"}) + "\n"
+        else:
+            samples = run_path / "samples.jsonl"
+            rows = [json.loads(line) for line in samples.read_text().splitlines()]
+            assert rows[0]["id"] == first
+            del rows[0]["label"]
+            samples.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        (tmp_path / "ext.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        assert _run("evaluate", "--config", config_path, "--predictions", tmp_path / "ext.jsonl") == 1
+        report = {"error": {"type": "DatasetError", "message": message.format(first=first)}}
+        assert capsys.readouterr().err.splitlines() == [json.dumps(report)]
 
     @pytest.mark.parametrize(
         "name, field, value, reason",

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import same_columns
+from ctxsent import datamodel
 from ctxsent.classifier import OutputColumns, _output_columns, output_from_dict, read_outputs, softmax
 from ctxsent.datamodel import (
     POLARITIES,
@@ -403,6 +404,39 @@ class TestRepeatedIds:
         _write_rows(path, [{**good, "sample_id": 7}, {**good, "sample_id": "8"}, {**good, "sample_id": "7"}])
         with pytest.raises(SchemaError, match=r"line 3: sample id '7' repeats an earlier row"):
             read_outputs(path)
+
+
+    def test_repeated_sample_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        rows = [{"id": "t000", "split": "test", "sentence": "a"}, {"id": "t001", "split": "test", "sentence": "b"}]
+        _write_rows(path, rows + [{**rows[1], "id": "t000"}])
+        with pytest.raises(SchemaError) as info:
+            read_samples(path)
+        assert str(info.value) == f"{path}: line 3: sample id 't000' repeats an earlier row"
+
+
+class TestReadOnce:
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            # A number written as a string sends the file to the row decoder, which reads it fine.
+            ({"probs": ["0.2", 0.3, 0.5]}, None),
+            ({"sample_id": "s1"}, "line 2: sample id 's1' repeats an earlier row"),
+        ],
+    )
+    def test_a_prediction_file_is_parsed_once(self, tmp_path, monkeypatch, changes, error):
+        good = _GOOD_ROWS["output"][0]
+        path = tmp_path / "rows.jsonl"
+        _write_rows(path, [good, {**good, "sample_id": "s2", **changes}])
+        calls = []
+        read = datamodel.read_jsonl
+        monkeypatch.setattr(datamodel, "read_jsonl", lambda *args: calls.append(args) or read(*args))
+        if error is None:
+            assert len(read_outputs(path)) == 2
+        else:
+            with pytest.raises(SchemaError, match=error):
+                read_outputs(path)
+        assert len(calls) == 1
 
 
 class TestColumnReaders:

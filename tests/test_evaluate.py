@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_mock_backend, make_samples, write_config
 from ctxsent.classifier import ClassifierOutput, OutputColumns, predict_batch, write_outputs
+from ctxsent import datamodel
 from ctxsent.cli import cmd_compare_types, cmd_evaluate, cmd_fuse, cmd_sweep, load_config
 from ctxsent.datamodel import (
     POLARITIES,
@@ -243,6 +244,16 @@ class TestSweep:
             sweep(base, ctx, golds, alphas, betas, fusion=FusionConfig(strategy=strategy), mode="full-grid")
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+    def test_js_full_grid_weighs_each_row_once(self, dev_outputs, monkeypatch):
+        # The js weight is cached on the joined columns, so the grid size does not change the count.
+        base, ctx, golds = dev_outputs
+        weighed = []
+        js = datamodel._js
+        monkeypatch.setattr(datamodel, "_js", lambda p, q: weighed.append(p) or js(p, q))
+        result = sweep(base, ctx, golds, [0.1, 0.3, 0.5], [0.0, 0.45, 0.9], FusionConfig(strategy="js"), "full-grid")
+        assert len(result.grid) == 9
+        assert len(weighed) == len(base)
 
     def test_beta_zero_point_equals_base_f1(self):
         base, ctx, golds = _dev_outputs()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxsent.classifier import ClassifierOutput, softmax
+import numpy as np
+
+from ctxsent.classifier import ClassifierOutput, OutputColumns, softmax
 from ctxsent.datamodel import Polarity, PolarityDistribution, argmax_label
 from ctxsent.fusion import (
     STRATEGIES,
@@ -18,6 +21,7 @@ from ctxsent.fusion import (
     fuse_cxmi,
     fuse_js,
     fuse_max,
+    fuse_outputs,
     fuse_records,
     is_hard,
     js_divergence,
@@ -421,3 +425,64 @@ class TestColumnarErrors:
         with pytest.raises(ValueError) as columnar:
             fuse_records(base, ctx, config)
         assert str(columnar.value) == f"sample 'bad': {scalar.value}"
+
+
+def _output(sample_id, probs, conditioned_on=None):
+    return ClassifierOutput(sample_id, PolarityDistribution(probs), None, conditioned_on)
+
+
+# s1 and s4 are easy and have no context row; x9 and x1 are context rows of no base sample.
+_PARTIAL_BASE = [
+    _output("s0", (0.4, 0.35, 0.25)),
+    _output("s1", (0.9, 0.05, 0.05)),
+    _output("s2", (0.3, 0.3, 0.4)),
+    _output("s3", (0.2, 0.45, 0.35)),
+    _output("s4", (0.1, 0.1, 0.8)),
+    _output("s5", (1 / 3, 1 / 3, 1 / 3)),
+]
+_PARTIAL_CTX = [
+    _output("x9", (0.2, 0.2, 0.6), "cultural"),
+    _output("s5", (0.7, 0.2, 0.1), "historical"),
+    _output("s3", (0.05, 0.15, 0.8), "historical"),
+    _output("s0", (0.1, 0.6, 0.3)),
+    _output("x1", (0.5, 0.25, 0.25), "historical"),
+    _output("s2", (0.6, 0.3, 0.1), "cultural"),
+]
+
+
+def _columns_digest(columns) -> str:
+    """sha256 prefix over every field: arrays by dtype, shape and bytes, tuples by repr."""
+    h = hashlib.sha256()
+    for name, value in sorted(vars(columns).items()):
+        h.update(name.encode())
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        h.update(repr(value).encode())
+    return h.hexdigest()[:16]
+
+
+# Recorded from the implementation that joined into its own fusion-only column types.
+@pytest.mark.parametrize(
+    "strategy, knowledge_type, digest",
+    [
+        ("cf", None, "405bc13febd5d2ec"),
+        ("cf", "historical", "011316f93ba18ffa"),
+        ("average", None, "857e45e3239e442e"),
+        ("average", "historical", "b9628b2f421481c2"),
+        ("max", None, "13a6c847afd338d6"),
+        ("max", "historical", "f3cfdd23f40bb0ed"),
+        ("js", None, "530fae47d675df74"),
+        ("js", "historical", "cada6005b6d2446c"),
+        ("cxmi", None, "51d6ed863dc395ab"),
+        ("cxmi", "historical", "db1693dfc21626b7"),
+    ],
+)
+def test_fuse_outputs_with_a_partial_context_set_keeps_its_columns(strategy, knowledge_type, digest):
+    config = FusionConfig(alpha=0.3, beta=0.45, strategy=strategy, gate_alternatives=strategy != "cf")
+    base, ctx = OutputColumns.from_outputs(_PARTIAL_BASE), OutputColumns.from_outputs(_PARTIAL_CTX)
+    fused = fuse_outputs(base, ctx, config, knowledge_type)
+    assert fused.ids == ("s0", "s1", "s2", "s3", "s4", "s5")
+    assert fused.has_context.tolist() == [True, False, True, True, False, True]
+    if knowledge_type is None:
+        assert fused.knowledge_type == (None, None, "cultural", "historical", None, "historical")
+    assert _columns_digest(fused) == digest
