@@ -20,6 +20,7 @@ from .datamodel import (
     PolarityDistribution,
     Sample,
     _dist_from_list,
+    _float,
     _number_rows,
     _of_types,
     _read_columns,
@@ -200,7 +201,7 @@ def output_from_dict(row: Mapping) -> ClassifierOutput:
     raw = None
     if row.get("raw_scores") is not None:
         raw = ChoiceScores(
-            scores=tuple(float(v) for v in row["raw_scores"]),
+            scores=tuple(map(_float, row["raw_scores"])),
             normalization_mode=row.get("normalization_mode", "total"),
         )
         drift = max(abs(a - b) for a, b in zip(softmax(raw.scores).probs, dist.probs))

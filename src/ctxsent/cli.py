@@ -35,6 +35,8 @@ from .backend import (
 )
 from .classifier import OutputColumns, predict_batch, read_outputs, write_outputs
 from .datamodel import (
+    ADAPTERS,
+    SPLITS,
     ContextRecord,
     DatasetError,
     Polarity,
@@ -235,10 +237,14 @@ def build_config(raw: Mapping[str, Any]) -> RunConfig:
 
 def _check_run_values(config: RunConfig) -> None:
     """Reject a value no stage can run with, so the error comes before any stage writes a file."""
-    for key, allowed in (("level", LEVELS), ("score_normalization", NORMALIZATION_MODES)):
-        value = getattr(config, key)
+    for where, value, allowed in (
+        ("config.level", config.level, LEVELS),
+        ("config.score_normalization", config.score_normalization, NORMALIZATION_MODES),
+        ("dataset.adapter", config.dataset.adapter, ADAPTERS),
+        ("dataset.split", config.dataset.split, SPLITS),
+    ):
         if value not in allowed:
-            raise ConfigurationError(f"config.{key}: must be one of {allowed}, got {value!r}")
+            raise ConfigurationError(f"{where}: must be one of {allowed}, got {value!r}")
     for i, knowledge_type in enumerate(config.knowledge_types):
         if knowledge_type in config.knowledge_types[:i]:
             raise ConfigurationError(f"config.knowledge_types: {knowledge_type!r} is listed twice")

@@ -190,10 +190,7 @@ class Sample:
 
 @dataclass(frozen=True)
 class ContextRecord:
-    """Generated world-knowledge text plus provenance.
-
-    (sample_id, knowledge_type, model_id, prompt_hash) identifies a record.
-    """
+    """Generated world-knowledge text plus provenance; a contexts file holds one per sample."""
 
     sample_id: str
     knowledge_type: str
@@ -201,10 +198,6 @@ class ContextRecord:
     prompt_hash: str
     text: str
     created_at: str
-
-    @property
-    def key(self) -> tuple[str, str, str, str]:
-        return (self.sample_id, self.knowledge_type, self.model_id, self.prompt_hash)
 
 
 @dataclass(frozen=True)
@@ -324,17 +317,28 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, obj
 
 
+def _float(value: Any) -> float:
+    """A number as a float; true and false are not numbers, though Python would read them as 1 and 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _dist_from_list(values: Any, where: str) -> PolarityDistribution:
     if not isinstance(values, (list, tuple)) or len(values) != 3:
         raise SchemaError(f"{where}: expected a 3-element probability array, got {values!r}")
-    return PolarityDistribution(tuple(float(v) for v in values))
+    return PolarityDistribution(tuple(map(_float, values)))
 
 
 def _text(row: Mapping[str, Any], key: str) -> str:
     """A required text field; a number becomes its string, since ids may be numeric."""
     value = row[key]
+    if isinstance(value, str):
+        return value
     if value is None:
         raise ValueError(f"field {key!r} must not be null")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {key!r} must be text or a number, got {value!r}")
     return str(value)
 
 
@@ -394,7 +398,7 @@ def prediction_from_dict(row: Mapping[str, Any]) -> PredictionRecord:
         base=_dist_from_list(row["base"], "base"),
         with_context=None if row.get("with_context") is None else _dist_from_list(row["with_context"], "with_context"),
         fused=None if row.get("fused") is None else _dist_from_list(row["fused"], "fused"),
-        delta=float(row["delta"]),
+        delta=_float(row["delta"]),
         is_hard=row["is_hard"],
         final_label=Polarity.from_any(row["final_label"]),
         strategy=_text(row, "strategy"),
@@ -402,22 +406,47 @@ def prediction_from_dict(row: Mapping[str, Any]) -> PredictionRecord:
     )
 
 
+def _decode(
+    numbered: Iterable[tuple[int, Any]], parse: Callable[[Any], Any], at: Callable[[int, str], ValueError], what: str = ""
+) -> list[Any]:
+    """Decode every (row number, row) pair with parse; the first bad row raises at(number, what + reason).
+
+    parse raises KeyError for a missing field and IndexError, TypeError, ValueError or OverflowError for a bad value.
+    """
+    records = []
+    for number, row in numbered:
+        try:
+            records.append(parse(row))
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+            raise at(number, what + reason) from None
+    return records
+
+
+def _check_repeats(ids: Sequence[str], numbered: Iterable[tuple[int, Any]], at: Callable[[int, str], ValueError]) -> None:
+    """Raise at(number, ...) for the first id that repeats an earlier row's; numbered is iterated only then."""
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for sample_id, (number, _) in zip(ids, numbered):
+            if sample_id in seen:
+                raise at(number, f"sample id {sample_id!r} repeats an earlier row")
+            seen.add(sample_id)
+
+
+def _at_line(path: str | Path) -> Callable[[int, str], SchemaError]:
+    """A JSONL file's row errors: '<path>: line N: <message>'."""
+    return lambda lineno, message: SchemaError(f"{path}: line {lineno}: {message}")
+
+
 def _read_typed(
     path: str | Path, parse: Any, what: str, numbered: Iterable[tuple[int, dict[str, Any]]] | None = None
 ) -> list[Any]:
     """Decode every row of a JSONL file with parse; numbered holds its (line, row) pairs if already read.
 
-    parse raises KeyError for a missing field and TypeError or ValueError for
-    a bad value; the first bad row raises a SchemaError naming file and line.
+    The first bad row raises a SchemaError naming file and line.
     """
-    records = []
-    for lineno, row in read_jsonl(path) if numbered is None else numbered:
-        try:
-            records.append(parse(row))
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-            raise SchemaError(f"{path}: line {lineno}: bad {what} record: {reason}") from None
-    return records
+    rows = read_jsonl(path) if numbered is None else numbered
+    return _decode(rows, parse, _at_line(path), f"bad {what} record: ")
 
 
 def write_samples(path: str | Path, samples: Iterable[Sample]) -> None:
@@ -427,7 +456,7 @@ def write_samples(path: str | Path, samples: Iterable[Sample]) -> None:
 def read_samples(path: str | Path) -> list[Sample]:
     samples = _read_typed(path, sample_from_dict, "sample")
     # The generator opens the file only if an id repeats, to find the line.
-    _check_repeats(path, [s.id for s in samples], read_jsonl(path))
+    _check_repeats([s.id for s in samples], read_jsonl(path), _at_line(path))
     return samples
 
 
@@ -436,12 +465,9 @@ def write_contexts(path: str | Path, records: Iterable[ContextRecord]) -> None:
 
 
 def read_contexts(path: str | Path) -> list[ContextRecord]:
-    """Read context records, deduplicating by full key (last write wins)."""
     records = _read_typed(path, context_from_dict, "context")
-    by_key: dict[tuple[str, str, str, str], ContextRecord] = {}
-    for record in records:
-        by_key[record.key] = record
-    return list(by_key.values())
+    _check_repeats([r.sample_id for r in records], read_jsonl(path), _at_line(path))
+    return records
 
 
 def _json_texts(values: np.ndarray) -> list[str]:
@@ -557,21 +583,8 @@ def _read_columns(
         columns = from_rows([row for _, row in numbered])
     except (KeyError, TypeError, ValueError, OverflowError):
         columns = pack(_read_typed(path, parse, what, numbered))
-    _check_repeats(path, columns.ids, numbered)
+    _check_repeats(columns.ids, numbered, _at_line(path))
     return columns
-
-
-def _check_repeats(path: str | Path, ids: Sequence[str], numbered: Iterable[tuple[int, Any]]) -> None:
-    """Raise a SchemaError naming file, id and line for the first id that repeats an earlier row's.
-
-    numbered gives each row's (line, row) pair and is iterated only when an id repeats.
-    """
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        for sample_id, (lineno, _) in zip(ids, numbered):
-            if sample_id in seen:
-                raise SchemaError(f"{path}: line {lineno}: sample id {sample_id!r} repeats an earlier row")
-            seen.add(sample_id)
 
 
 def read_predictions(path: str | Path) -> PredictionColumns:
@@ -581,24 +594,6 @@ def read_predictions(path: str | Path) -> PredictionColumns:
 # ---------------------------------------------------------------------------
 # Dataset ingestion
 # ---------------------------------------------------------------------------
-
-def _check_unique_ids(ids: Iterable[str]) -> None:
-    seen: set[str] = set()
-    for sample_id in ids:
-        if sample_id in seen:
-            raise DatasetError(f"duplicate sample id {sample_id!r}")
-        seen.add(sample_id)
-
-
-def _resolve_columns(column_map: Mapping[str, Any] | None, defaults: Mapping[str, Any]) -> dict[str, Any]:
-    columns = dict(defaults)
-    if column_map:
-        unknown = set(column_map) - set(defaults)
-        if unknown:
-            raise DatasetError(f"unknown column_map keys: {sorted(unknown)}; expected {sorted(defaults)}")
-        columns.update(column_map)
-    return columns
-
 
 def ingest_dataset(
     path: str | Path,
@@ -625,102 +620,93 @@ def ingest_dataset(
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    if adapter == "canonical-jsonl":
-        samples = _ingest_canonical(path, column_map)
-    elif adapter == "twitter-tsv":
-        samples = _ingest_twitter_tsv(path, column_map, split)
-    elif adapter == "msed":
-        samples = _ingest_msed(path, column_map, split)
-    else:
+    if adapter not in _ADAPTERS:
         raise DatasetError(f"unknown adapter {adapter!r}; expected one of {ADAPTERS}")
-    _check_unique_ids(s.id for s in samples)
+    defaults, read, to_row = _ADAPTERS[adapter]
+    unknown = set(column_map or ()) - set(defaults)
+    if unknown:
+        raise DatasetError(f"unknown column_map keys: {sorted(unknown)}; expected {sorted(defaults)}")
+    keys = {**defaults, **(column_map or {})}
+
+    def at(number: int, message: str) -> DatasetError:
+        return DatasetError(f"{path}: row {number}: {message}")
+
+    samples = _decode(read(path), lambda row: sample_from_dict(to_row(row, keys, split)), at)
+    # A fresh reader opens the file again only if an id repeats, to find the row.
+    _check_repeats([s.id for s in samples], read(path), at)
     return samples
 
 
-def _ingest_canonical(path: Path, column_map: Mapping[str, Any] | None) -> list[Sample]:
-    keys = _resolve_columns(
-        column_map,
-        {"id": "id", "split": "split", "sentence": "sentence", "image": "image", "aspect": "aspect", "label": "label"},
-    )
-    samples = []
-    for lineno, row in read_jsonl(path):
-        try:
-            renamed = {
-                "id": row[keys["id"]],
-                "split": row[keys["split"]],
-                "sentence": row[keys["sentence"]],
-                "image": row.get(keys["image"]),
-                "aspect": row.get(keys["aspect"]),
-                "label": row.get(keys["label"]),
-            }
-            samples.append(sample_from_dict(renamed))
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-            raise DatasetError(f"{path}: row {lineno}: {reason}") from None
-    return samples
+def _canonical_row(row: dict[str, Any], keys: Mapping[str, str], split: str) -> dict[str, Any]:
+    return {
+        "id": row[keys["id"]],
+        "split": row[keys["split"]],
+        "sentence": row[keys["sentence"]],
+        "image": row.get(keys["image"]),
+        "aspect": row.get(keys["aspect"]),
+        "label": row.get(keys["label"]),
+    }
 
 
-def _ingest_twitter_tsv(path: Path, column_map: Mapping[str, Any] | None, split: str) -> list[Sample]:
-    columns = _resolve_columns(column_map, {"id": 0, "label": 1, "image": 2, "sentence": 3, "aspect": 4})
-    samples = []
-    bad_aspects = []
+def _tsv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                needed = max(v for v in columns.values())
-                if len(row) <= needed:
-                    raise DatasetError(f"expected at least {needed + 1} columns, got {len(row)}")
-                sample_id = row[columns["id"]].strip()
-                gold = Polarity.from_any(row[columns["label"]].strip())
-                image = row[columns["image"]].strip() or None
-                sentence = row[columns["sentence"]].strip()
-                aspect = row[columns["aspect"]].strip()
-                sentence = sentence.replace("$T$", aspect)
-                if aspect and aspect not in sentence:
-                    bad_aspects.append(sample_id)
-                    continue
-                samples.append(
-                    Sample(id=sample_id, split=split, sentence=sentence, image=image, aspect=aspect or None, gold=gold)
-                )
-            except (TypeError, ValueError, IndexError) as exc:
-                raise DatasetError(f"{path}: row {lineno}: {exc}") from None
-    if bad_aspects:
-        raise DatasetError(f"{path}: aspect not present in sentence after substitution for ids: {bad_aspects}")
-    return samples
+            if any(cell.strip() for cell in row):
+                yield lineno, row
 
 
-def _ingest_msed(path: Path, column_map: Mapping[str, Any] | None, split: str) -> list[Sample]:
-    keys = _resolve_columns(column_map, {"id": "id", "sentence": "caption", "label": "sentiment", "image": "image"})
-    text = Path(path).read_text(encoding="utf-8").strip()
+def _twitter_row(row: list[str], columns: Mapping[str, int], split: str) -> dict[str, Any]:
+    needed = max(columns.values())
+    if len(row) <= needed:
+        raise ValueError(f"expected at least {needed + 1} columns, got {len(row)}")
+    aspect = row[columns["aspect"]].strip()
+    return {
+        "id": row[columns["id"]].strip(),
+        "split": split,
+        "sentence": row[columns["sentence"]].strip().replace("$T$", aspect),
+        "image": row[columns["image"]].strip() or None,
+        "aspect": aspect or None,
+        "label": row[columns["label"]].strip(),
+    }
+
+
+def _msed_rows(path: Path) -> Iterator[tuple[int, tuple[int, dict[str, Any]]]]:
+    """Rows of a JSON array or JSONL file, each with its number, which _msed_row needs for a default id."""
+    text = path.read_text(encoding="utf-8").strip()
     if text.startswith("["):
         try:
-            rows = json.loads(text)
+            numbered = enumerate(json.loads(text), start=1)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: invalid JSON array ({exc.msg})") from None
-        numbered = list(enumerate(rows, start=1))
     else:
-        numbered = [(lineno, row) for lineno, row in read_jsonl(path)]
-    samples = []
+        numbered = read_jsonl(path)
     for rowno, row in numbered:
         if not isinstance(row, dict):
             raise DatasetError(f"{path}: row {rowno}: expected an object")
-        try:
-            raw_id = row.get(keys["id"])
-            sample_id = f"{split}-{rowno}" if raw_id in (None, "") else str(raw_id)
-            label = row.get(keys["label"])
-            samples.append(
-                Sample(
-                    id=sample_id,
-                    split=split,
-                    sentence=_text(row, keys["sentence"]),
-                    image=row.get(keys["image"]),
-                    aspect=None,
-                    gold=None if label is None else Polarity.from_any(label),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-            raise DatasetError(f"{path}: row {rowno}: {reason}") from None
-    return samples
+        yield rowno, (rowno, row)
+
+
+def _msed_row(numbered: tuple[int, dict[str, Any]], keys: Mapping[str, str], split: str) -> dict[str, Any]:
+    """A row whose id is missing, null or "" gets the id "<split>-<row number>"."""
+    rowno, row = numbered
+    raw_id = row.get(keys["id"])
+    return {
+        "id": f"{split}-{rowno}" if raw_id in (None, "") else raw_id,
+        "split": split,
+        "sentence": _text(row, keys["sentence"]),
+        "image": row.get(keys["image"]),
+        "aspect": None,
+        "label": row.get(keys["label"]),
+    }
+
+
+# Per adapter: its default column_map, a reader of (row number, row) pairs, and a row's samples.jsonl form.
+_ADAPTERS: dict[str, tuple[dict[str, Any], Callable[[Path], Iterator[tuple[int, Any]]], Callable[..., dict[str, Any]]]] = {
+    "canonical-jsonl": (
+        {"id": "id", "split": "split", "sentence": "sentence", "image": "image", "aspect": "aspect", "label": "label"},
+        lambda path: read_jsonl(path),  # looked up per call, so a rebound read_jsonl (the tracer's) is used
+        _canonical_row,
+    ),
+    "twitter-tsv": ({"id": 0, "label": 1, "image": 2, "sentence": 3, "aspect": 4}, _tsv_rows, _twitter_row),
+    "msed": ({"id": "id", "sentence": "caption", "label": "sentiment", "image": "image"}, _msed_rows, _msed_row),
+}

@@ -94,6 +94,10 @@ class TestConfig:
             ({"generator_backend": {"mock": {"base_accuracy": True}}}, "base_accuracy must be within [0, 1], got True"),
             ({"generator_backend": {"mock": {"easy_context_accuracy": False}}},
              "easy_context_accuracy must be within [0, 1], got False"),
+            ({"dataset": {"path": "x.jsonl", "adapter": "csv"}},
+             "dataset.adapter: must be one of ('canonical-jsonl', 'twitter-tsv', 'msed'), got 'csv'"),
+            ({"dataset": {"path": "x.jsonl", "split": "validation"}},
+             "dataset.split: must be one of ('train', 'dev', 'test'), got 'validation'"),
         ],
     )
     def test_config_table(self, tmp_path, capsys, changes, error):

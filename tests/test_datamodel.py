@@ -148,8 +148,9 @@ class TestCanonicalIngest:
         path = tmp_path / "data.jsonl"
         row = '{"id":"a","split":"test","sentence":"fine","label":1}\n'
         path.write_text(row + row)
-        with pytest.raises(DatasetError, match="duplicate"):
+        with pytest.raises(DatasetError) as info:
             ingest_dataset(path, "canonical-jsonl")
+        assert str(info.value) == f"{path}: row 2: sample id 'a' repeats an earlier row"
 
 
 class TestTwitterTsvIngest:
@@ -186,6 +187,17 @@ class TestTwitterTsvIngest:
         path.write_text("1\t0\timg.jpg\thello $T$ .\tworld\n")
         with pytest.raises(DatasetError, match="row 1"):
             ingest_dataset(path, "twitter-tsv", column_map={"sentence": "text"})
+
+    def test_first_bad_aspect_names_its_row(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "1\t0\ta.jpg\thello $T$ .\tworld\n"
+            "2\t1\tb.jpg\tno placeholder here .\tteam\n"
+            "3\t2\tc.jpg\tnone here either .\tcity\n"
+        )
+        with pytest.raises(DatasetError) as info:
+            ingest_dataset(path, "twitter-tsv")
+        assert str(info.value) == f"{path}: row 2: sample '2': aspect 'team' not found in sentence"
 
     def test_column_map_override(self, tmp_path):
         path = tmp_path / "alt.tsv"
@@ -369,6 +381,14 @@ class TestReaderErrors:
             ("output", {"raw_scores": [-1.6, "low", -0.7]}, "could not convert string to float: 'low'"),
             ("output", {"normalization_mode": "mean"}, "normalization_mode must be one of ('total', 'per-token')"),
             ("output", {"raw_scores": [0.0, 0.0, 0.0]}, "probs are not the softmax of raw_scores (max drift 1.67e-01)"),
+            ("output", {"probs": [True, False, False]}, "expected a number, got True"),
+            ("output", {"raw_scores": [True, -1.2, -0.7]}, "expected a number, got True"),
+            ("prediction", {"delta": True}, "expected a number, got True"),
+            ("output", {"sample_id": True}, "field 'sample_id' must be text or a number, got True"),
+            ("sample", {"id": False}, "field 'id' must be text or a number, got False"),
+            ("context", {"sample_id": ["s1"]}, "field 'sample_id' must be text or a number, got ['s1']"),
+            ("output", {"probs": [10**400, 0, 0]}, "int too large to convert to float"),
+            ("prediction", {"delta": 10**400}, "int too large to convert to float"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, kind, changes, reason):
@@ -386,7 +406,7 @@ def _write_rows(path, rows):
 
 
 class TestRepeatedIds:
-    @pytest.mark.parametrize("kind", ["prediction", "output"])
+    @pytest.mark.parametrize("kind", ["prediction", "output", "context"])
     def test_repeated_id_names_file_id_and_line(self, tmp_path, kind):
         good, read, _ = _GOOD_ROWS[kind]
         key = "sample_id"
@@ -414,8 +434,48 @@ class TestRepeatedIds:
             read_samples(path)
         assert str(info.value) == f"{path}: line 3: sample id 't000' repeats an earlier row"
 
+    @pytest.mark.parametrize(
+        "adapter, text, message",
+        [
+            # The blank line is row 2, so the repeat is on row 4.
+            ("twitter-tsv", "7\t0\ta.jpg\thi $T$\tyou\n\n8\t1\tb.jpg\tbye $T$\tyou\n7\t2\tc.jpg\tso $T$\tyou\n",
+             "row 4: sample id '7' repeats an earlier row"),
+            # Row 1 has no id and gets "test-1", which row 3 repeats.
+            ("msed", json.dumps([{"caption": "a"}, {"id": "m1", "caption": "b"}, {"id": "test-1", "caption": "c"}]),
+             "row 3: sample id 'test-1' repeats an earlier row"),
+        ],
+        ids=["twitter-tsv", "msed"],
+    )
+    def test_ingest_names_file_and_row(self, tmp_path, adapter, text, message):
+        path = tmp_path / "data"
+        path.write_text(text)
+        with pytest.raises(DatasetError) as info:
+            ingest_dataset(path, adapter)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestReadOnce:
+    @pytest.mark.parametrize("repeat, opens", [(False, 1), (True, 2)])
+    def test_ingest_reads_the_dataset_again_only_for_a_repeated_id(self, tmp_path, monkeypatch, repeat, opens):
+        path = tmp_path / "data.jsonl"
+        rows = [{"id": f"t{i}", "split": "test", "sentence": "fine"} for i in range(3)]
+        _write_rows(path, rows + [rows[0]] if repeat else rows)
+        calls = []
+        read = datamodel.read_jsonl
+
+        def opening(*args):
+            # A generator: the call is counted when iteration opens the file, not when the reader is made.
+            calls.append(args)
+            yield from read(*args)
+
+        monkeypatch.setattr(datamodel, "read_jsonl", opening)
+        if repeat:
+            with pytest.raises(DatasetError, match="row 4: sample id 't0' repeats"):
+                ingest_dataset(path, "canonical-jsonl")
+        else:
+            assert len(ingest_dataset(path, "canonical-jsonl")) == 3
+        assert len(calls) == opens
+
     @pytest.mark.parametrize(
         "changes, error",
         [
@@ -456,7 +516,7 @@ class TestColumnReaders:
         [
             ("output", {"sample_id": 12}),
             ("output", {"probs": ["0.2", 0.3, 0.5]}),
-            ("output", {"probs": [False, False, True], "raw_scores": None}),
+            ("output", {"raw_scores": [repr(v) for v in _LOG_PROBS]}),
             ("prediction", {"final_label": " Negative "}),
             ("prediction", {"final_label": 0}),
             ("prediction", {"delta": "0.2"}),
