@@ -53,7 +53,8 @@ from .datamodel import (
     write_samples,
 )
 from .digest import stable_digest
-from .evaluate import compare_knowledge_types, entropy_buckets, gold_indices, label_metrics, rows_to_csv, sweep_outputs
+from .evaluate import SWEEP_MODES, compare_knowledge_types, entropy_buckets, gold_indices, label_metrics, rows_to_csv
+from .evaluate import sweep_outputs
 from .fusion import STRATEGIES, FusionConfig, base_set, fuse_outputs
 
 # Bound here though unused: perfbench/tracing.py wraps these names on cli.
@@ -123,6 +124,10 @@ def _number(value: Any) -> Any:
     return value
 
 
+def _to_float(value: Any) -> float:
+    return float(_number(value))
+
+
 def _to_int(value: Any) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected a whole number, got {value!r}")
@@ -132,6 +137,12 @@ def _to_int(value: Any) -> int:
 def _to_bool(value: Any) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _to_text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected text, got {value!r}")
     return value
 
 
@@ -147,12 +158,15 @@ def _to_mapping(value: Any) -> Mapping[str, Any]:
     return value
 
 
-# Config values converted by their field's annotation; any other field takes its value as given.
+# Config values converted or checked by their field's annotation; any other field is a section its caller builds.
 _COERCIONS: dict[Any, Callable[[Any], Any]] = {
-    float: lambda value: float(_number(value)),
+    float: _to_float,
+    float | None: _to_float,
     int: _to_int,
     bool: _to_bool,
-    tuple[float, ...]: lambda values: tuple(float(_number(v)) for v in values),
+    str: _to_text,
+    str | None: _to_text,
+    tuple[float, ...]: lambda values: tuple(_to_float(v) for v in values),
     tuple[str, ...]: _to_strings,
     Mapping[str, Any] | None: _to_mapping,
 }
@@ -175,24 +189,21 @@ def _coerce(hint: Any, value: Any) -> Any:
     return value if convert is None else convert(value)
 
 
-def _section(cls: type[T], section: Any, where: str, coerce: bool = True, **derived: Any) -> T:
+def _section(cls: type[T], section: Any, where: str, **derived: Any) -> T:
     """Build the dataclass cls from one config section.
 
     The section's keys are cls's fields less the derived ones, which the
     caller computes, so each setting is named once, in its dataclass. An
-    absent key keeps the field's default. With coerce, a value whose field is
-    a float, int, bool, float tuple, string tuple or mapping is converted to
-    or checked as that type, and a value the field cannot hold, null
-    included unless the field is optional, raises a ConfigurationError naming
-    where.key. A null section reads as empty; one that is not an object
-    raises a ConfigurationError naming where.
+    absent key keeps the field's default. Each value is converted to or
+    checked as its field's type through _COERCIONS, and a value the field
+    cannot hold, null included unless the field is optional, raises a
+    ConfigurationError naming where.key. A null section reads as empty; one
+    that is not an object raises a ConfigurationError naming where.
     """
     section = _object(section, where)
     unknown = set(section) - {f.name for f in fields(cls) if f.name not in derived}
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
-    if not coerce:
-        return cls(**section, **derived)
     hints = get_type_hints(cls)
     values = {}
     for key, value in section.items():
@@ -206,8 +217,8 @@ def _section(cls: type[T], section: Any, where: str, coerce: bool = True, **deri
 def _backend(value: Any, name: str, default_model: str) -> BackendConfig:
     section = {"kind": "mock", "model_id": default_model, **_object(value, name)}
     if section.get("mock") is not None:
-        # Mock values pass through as written: backend_cache_key covers them.
-        section["mock"] = _section(MockOracleParams, section["mock"], "backend.mock", coerce=False)
+        # Not a key: make_backend sets the mock's seed to the run seed.
+        section["mock"] = _section(MockOracleParams, section["mock"], "backend.mock", seed=0)
     return _section(BackendConfig, section, "backend")
 
 
@@ -242,6 +253,7 @@ def _check_run_values(config: RunConfig) -> None:
         ("config.score_normalization", config.score_normalization, NORMALIZATION_MODES),
         ("dataset.adapter", config.dataset.adapter, ADAPTERS),
         ("dataset.split", config.dataset.split, SPLITS),
+        ("sweep.mode", config.sweep.mode, SWEEP_MODES),
     ):
         if value not in allowed:
             raise ConfigurationError(f"{where}: must be one of {allowed}, got {value!r}")
@@ -252,6 +264,7 @@ def _check_run_values(config: RunConfig) -> None:
             _template_for(config, knowledge_type)
         except TemplateError as exc:
             raise ConfigurationError(f"config.knowledge_types: {exc}") from None
+    _instruction_template(config)
 
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> RunConfig:
@@ -329,9 +342,24 @@ def _template_for(config: RunConfig, knowledge_type: str) -> PromptTemplate:
 
 
 def _instruction_template(config: RunConfig) -> str | None:
-    if config.instruction_template_file:
-        return Path(config.instruction_template_file).read_text(encoding="utf-8")
-    return None
+    """The instruction_template_file's text, formatted once with empty fields so a bad placeholder fails here."""
+    if not config.instruction_template_file:
+        return None
+    where = "config.instruction_template_file"
+    try:
+        template = Path(config.instruction_template_file).read_text(encoding="utf-8")
+        template.format(context_block="", sentence="", aspect="", options="")
+    except (KeyError, IndexError) as exc:
+        raise ConfigurationError(
+            f"{where}: unknown placeholder ({exc}); use {{context_block}}, {{sentence}}, {{aspect}} or {{options}}"
+        ) from None
+    except (AttributeError, ValueError, OSError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+    return template
+
+
+def _first_five(ids: list[str]) -> str:
+    return f"{ids[:5]}{'...' if len(ids) > 5 else ''}"
 
 
 def _golds(samples: Sequence[Sample], ids: Sequence[str]) -> dict[str, Polarity]:
@@ -339,9 +367,20 @@ def _golds(samples: Sequence[Sample], ids: Sequence[str]) -> dict[str, Polarity]
     known = {s.id for s in samples}
     absent = [i for i in ids if i not in known]
     if absent:
-        more = "..." if len(absent) > 5 else ""
-        raise DatasetError(f"ids absent from samples.jsonl cannot be scored: {absent[:5]}{more}")
+        raise DatasetError(f"ids absent from samples.jsonl cannot be scored: {_first_five(absent)}")
     return {s.id: s.gold for s in samples if s.gold is not None}
+
+
+def _check_contexts(
+    path: Path, samples: Sequence[Sample], knowledge_type: str, contexts: Sequence[ContextRecord]
+) -> None:
+    """Refuse contexts that miss a sample or hold another knowledge type, naming the file."""
+    have = {r.sample_id for r in contexts}
+    missing = [s.id for s in samples if s.id not in have]
+    other = sorted({r.knowledge_type for r in contexts} - {knowledge_type})
+    if missing or other:
+        problem = f"no context for samples {_first_five(missing)}" if missing else f"contexts of type {other}"
+        raise DatasetError(f"{path}: {problem}; rerun `ctxsent generate-context --knowledge-type {knowledge_type}`")
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +442,7 @@ def cmd_predict(
     inputs = [directory / "samples.jsonl"]
     if knowledge_type is not None:
         inputs.append(directory / f"contexts.{knowledge_type}.jsonl")
+        _check_contexts(inputs[-1], samples, knowledge_type, contexts or ())
     backend = make_backend(config.classifier_backend, seed=config.seed, cache=cache)
     result = predict_batch(
         samples,

@@ -16,8 +16,6 @@ from .digest import stable_digest
 
 PLACEHOLDER = "[x]"
 
-LEVELS = ("sentence", "aspect")
-
 
 class TemplateError(ValueError):
     """Invalid template body or unusable rendering inputs."""
@@ -75,6 +73,22 @@ _TEMPLATE_BODIES: dict[str, str] = {
     "financial": "Give you a sentence and image, you should provide related financial knowledge. Sentence: [x]",
 }
 
+# Default task instruction per level: the target is filled in here, the rest per call, as in a custom template.
+_INSTRUCTIONS: dict[str, str] = {
+    level: (
+        "{context_block}Answer the single-choice question.\n"
+        'Sentence: "{sentence}"\n'
+        f"Question: What's the sentiment polarity of {target}?\n"
+        "Options:\n{options}\n"
+        "Answer:"
+    )
+    for level, target in (("sentence", "the sentence"), ("aspect", '"{aspect}"'))
+}
+
+LEVELS = tuple(_INSTRUCTIONS)
+
+_OPTIONS = "\n".join(LABELS)
+
 _JUDGE_TEMPLATE = """**System**: In this task, you will be asked to compare the relevance of two paragraphs to determine which one is more pertinent to the provided source sentence and image and benefits the sentiment analysis task the most. There are three options for you to choose from:
 1. Context1 is better. If you think Context 1 is more relevant to the source sentence and image and benefits the sentiment analysis task.
 2. Context2 is better. If you think Context 2 is more relevant to the source sentence and image and benefits the sentiment analysis task.
@@ -129,7 +143,10 @@ class RenderedPrompt:
 
 
 def _rendered(text: str, image_token: str | None = None) -> RenderedPrompt:
-    return RenderedPrompt(text=text, image_token=image_token, hash=stable_digest(text, image_token or ""))
+    """The prompt for text, with the image token, when given, on its own line in front."""
+    if image_token:
+        text = f"{image_token}\n{text}"
+    return RenderedPrompt(text=text, image_token=image_token or None, hash=stable_digest(text, image_token or ""))
 
 
 def registry_templates() -> list[PromptTemplate]:
@@ -158,22 +175,8 @@ def load_template_file(path: str | Path) -> list[PromptTemplate]:
 def render_context_prompt(
     template: PromptTemplate, sample: Sample, image_token: str | None = None
 ) -> RenderedPrompt:
-    """Substitute the sample sentence into the template.
-
-    The image token, when provided and the sample has an image reference, is
-    prepended on its own line so the backend knows where the image goes.
-    """
-    if not sample.sentence:
-        raise TemplateError(f"sample {sample.id!r} has an empty sentence")
-    text = template.body.replace(PLACEHOLDER, sample.sentence)
-    token = image_token if (image_token and sample.image) else None
-    if token:
-        text = f"{token}\n{text}"
-    return _rendered(text, token)
-
-
-def _context_block(context: str) -> str:
-    return f'Context:\n"""\n{context}\n"""\n'
+    """Substitute the sample sentence into the template, after the image token if the sample has an image."""
+    return _rendered(template.body.replace(PLACEHOLDER, sample.sentence), image_token if sample.image else None)
 
 
 def render_task_instruction(
@@ -185,11 +188,10 @@ def render_task_instruction(
 ) -> tuple[RenderedPrompt, tuple[str, str, str]]:
     """Build the single-choice classification instruction and its option list.
 
-    The default wording places an optional delimited context block first, then
-    the sentence, the question (naming the aspect at aspect level), and the
-    three options in canonical polarity order. A custom template may be passed
-    instead; it is formatted with {context_block}, {sentence}, {aspect} and
-    {options}.
+    The template, by default the level's entry in _INSTRUCTIONS, is formatted
+    with {context_block} (an optional delimited context, else empty),
+    {sentence}, {aspect} and {options} (the three options in canonical
+    polarity order, one a line).
 
     Returns the rendered prompt and the ordered option texts.
     """
@@ -197,29 +199,13 @@ def render_task_instruction(
         raise TemplateError(f"level must be one of {LEVELS}, got {level!r}")
     if level == "aspect" and not sample.aspect:
         raise TemplateError(f"sample {sample.id!r}: aspect-level instruction requires an aspect")
-
-    options = "\n".join(LABELS)
-    block = _context_block(context) if context else ""
-    if template is not None:
-        text = template.format(
-            context_block=block, sentence=sample.sentence, aspect=sample.aspect or "", options=options
-        )
-    else:
-        if level == "aspect":
-            question = f"Question: What's the sentiment polarity of \"{sample.aspect}\"?"
-        else:
-            question = "Question: What's the sentiment polarity of the sentence?"
-        text = (
-            f"{block}Answer the single-choice question.\n"
-            f"Sentence: \"{sample.sentence}\"\n"
-            f"{question}\n"
-            f"Options:\n{options}\n"
-            f"Answer:"
-        )
-    token = image_token if (image_token and sample.image) else None
-    if token:
-        text = f"{token}\n{text}"
-    return _rendered(text, token), LABELS
+    text = (_INSTRUCTIONS[level] if template is None else template).format(
+        context_block=f'Context:\n"""\n{context}\n"""\n' if context else "",
+        sentence=sample.sentence,
+        aspect=sample.aspect or "",
+        options=_OPTIONS,
+    )
+    return _rendered(text, image_token if sample.image else None), LABELS
 
 
 def render_judge_prompt(sentence: str, context1: str, context2: str) -> RenderedPrompt:

@@ -1,13 +1,23 @@
 import json
 import math
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
 from conftest import write_config
-from ctxsent.backend import BackendConfig, ResponseCache, TransportError
-from ctxsent.cli import DatasetSpec, RunConfig, SweepSpec, build_parser, cmd_generate_context, load_config, main
+from ctxsent.backend import BackendConfig, MockOracleParams, ResponseCache, TransportError
+from ctxsent.cli import (
+    _COERCIONS,
+    DatasetSpec,
+    RunConfig,
+    SweepSpec,
+    build_parser,
+    cmd_generate_context,
+    load_config,
+    main,
+)
 from ctxsent.classifier import read_outputs
 from ctxsent.datamodel import POLARITIES, read_predictions, read_samples
 from ctxsent.evaluate import compute_metrics
@@ -49,7 +59,7 @@ class TestConfig:
             ({"fusion": {"alpha": 0.3, "zzz": 1}}, "unknown fusion keys: ['zzz']"),
             ({"sweep": {"zzz": 1}}, "unknown sweep keys: ['zzz']"),
             ({"generator_backend": {"kind": "mock", "zzz": 1}}, "unknown backend keys: ['zzz']"),
-            ({"generator_backend": {"mock": {"seed": 1, "zzz": 1}}}, "unknown backend.mock keys: ['zzz']"),
+            ({"generator_backend": {"mock": {"seed": 1, "zzz": 1}}}, "unknown backend.mock keys: ['seed', 'zzz']"),
             ({"config_hash": "x"}, "unknown config keys: ['config_hash']"),
             ({"dataset": {"adapter": "canonical-jsonl"}}, "config requires dataset.path"),
             ({"dataset": None}, "config requires dataset.path"),
@@ -91,13 +101,27 @@ class TestConfig:
             ({"generator_backend": {"concurrency_limit": True}}, "backend.concurrency_limit: expected a number, got True"),
             ({"seed": False}, "config.seed: expected a number, got False"),
             ({"sweep": {"alpha_grid": [True]}}, "sweep.alpha_grid: expected a number, got True"),
-            ({"generator_backend": {"mock": {"base_accuracy": True}}}, "base_accuracy must be within [0, 1], got True"),
+            ({"generator_backend": {"mock": {"base_accuracy": True}}}, "backend.mock.base_accuracy: expected a number, got True"),
             ({"generator_backend": {"mock": {"easy_context_accuracy": False}}},
-             "easy_context_accuracy must be within [0, 1], got False"),
+             "backend.mock.easy_context_accuracy: expected a number, got False"),
             ({"dataset": {"path": "x.jsonl", "adapter": "csv"}},
              "dataset.adapter: must be one of ('canonical-jsonl', 'twitter-tsv', 'msed'), got 'csv'"),
             ({"dataset": {"path": "x.jsonl", "split": "validation"}},
              "dataset.split: must be one of ('train', 'dev', 'test'), got 'validation'"),
+            ({"classifier_backend": {"mock": {"hard_fraction": None}}}, "backend.mock.hard_fraction: must not be null"),
+            ({"generator_backend": {"mock": {"seed": 5}}}, "unknown backend.mock keys: ['seed']"),
+            ({"run_id": 5}, "config.run_id: expected text, got 5"),
+            ({"out_dir": 7}, "config.out_dir: expected text, got 7"),
+            ({"cache_path": 4}, "config.cache_path: expected text, got 4"),
+            ({"instruction_template_file": 3}, "config.instruction_template_file: expected text, got 3"),
+            ({"image_token": 3}, "config.image_token: expected text, got 3"),
+            ({"template_file": 9}, "config.template_file: expected text, got 9"),
+            ({"generator_backend": {"model_id": 5}}, "backend.model_id: expected text, got 5"),
+            ({"level": ["sentence"]}, "config.level: expected text, got ['sentence']"),
+            ({"dataset": {"path": 1}}, "dataset.path: expected text, got 1"),
+            ({"sweep": {"mode": "bogus"}}, "sweep.mode: must be one of ('two-phase', 'full-grid'), got 'bogus'"),
+            ({"instruction_template_file": "absent.txt"},
+             "config.instruction_template_file: [Errno 2] No such file or directory: 'absent.txt'"),
         ],
     )
     def test_config_table(self, tmp_path, capsys, changes, error):
@@ -129,6 +153,41 @@ class TestConfig:
             assert config.fusion == FusionConfig(alpha=overrides.get("alpha", 0.3))
             assert config.knowledge_types == ("historical",)
             assert config.generator_backend == BackendConfig(kind="mock", model_id="mock-generator")
+
+    def test_mock_section_read_like_any_section(self, tmp_path):
+        mock = {"base_accuracy": "0.7", "hard_fraction": 0, "easy_context_accuracy": None}
+        path = write_config(tmp_path / "config.json", generator_backend={"mock": mock})
+        params = load_config(path).generator_backend.mock
+        assert params == MockOracleParams(base_accuracy=0.7, hard_fraction=0.0)
+        assert type(params.hard_fraction) is float
+
+    def test_every_config_field_has_a_rule(self):
+        # A field is converted through _COERCIONS or is a section built by its caller; none passes unchecked.
+        sections = {DatasetSpec, SweepSpec, BackendConfig, MockOracleParams, FusionConfig}
+        for cls in (RunConfig, *sections):
+            for name, hint in get_type_hints(cls).items():
+                assert hint in _COERCIONS or set(get_args(hint) or (hint,)) - {type(None)} <= sections, (cls, name)
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            ("Say {bogus} about {sentence}", "unknown placeholder ('bogus')"),
+            ("Say {} about {sentence}", "unknown placeholder (Replacement index 0 out of range for positional args tuple)"),
+            ("Say {sentence", "expected '}' before end of string"),
+            ("{context_block}{{{aspect}}} in {sentence}\n{options}", None),
+        ],
+    )
+    def test_instruction_template_checked_on_load(self, tmp_path, capsys, body, reason):
+        template = tmp_path / "instruction.txt"
+        template.write_text(body)
+        path = write_config(tmp_path / "config.json", instruction_template_file=str(template))
+        if reason is None:
+            assert _run("pipeline", "--config", path) == 0
+            return
+        assert _run("pipeline", "--config", path) == 1
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]["message"]
+        assert message.startswith(f"config.instruction_template_file: {reason}")
+        assert not (tmp_path / "out").exists()
 
     def test_readme_example_config(self, tmp_path):
         raw = {
@@ -246,6 +305,25 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         report = json.loads(err.strip().splitlines()[-1])
         assert "predictions.base.jsonl" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "damage, problem", [("gap", "no context for samples ['t000']"), ("swap", "contexts of type ['cultural']")]
+    )
+    def test_predict_refuses_contexts_that_do_not_match(self, tmp_path, capsys, damage, problem):
+        config_path = write_config(tmp_path / "config.json", seed=3, knowledge_types=["historical", "cultural"])
+        assert _run("pipeline", "--config", config_path) == 0
+        run_path = tmp_path / "out" / "run"
+        contexts = run_path / "contexts.historical.jsonl"
+        if damage == "gap":
+            contexts.write_text("".join(contexts.read_text().splitlines(keepends=True)[1:]))
+        else:
+            contexts.write_bytes((run_path / "contexts.cultural.jsonl").read_bytes())
+        predictions = (run_path / "predictions.historical.jsonl").read_bytes()
+        capsys.readouterr()
+        assert _run("predict", "--config", config_path, "--knowledge-type", "historical") == 1
+        message = f"{contexts}: {problem}; rerun `ctxsent generate-context --knowledge-type historical`"
+        assert capsys.readouterr().err.splitlines()[-1] == json.dumps({"error": {"type": "DatasetError", "message": message}})
+        assert (run_path / "predictions.historical.jsonl").read_bytes() == predictions
 
     def test_fuse_beta_zero_reproduces_base_vectors(self, tmp_path):
         config_path = write_config(tmp_path / "config.json")

@@ -88,6 +88,15 @@ class TestRenderContextPrompt:
         assert first.text == second.text
         assert first.hash == second.hash
 
+    def test_image_token_golden(self):
+        rendered = render_context_prompt(get_template("financial"), ALEPPO, image_token="<image>")
+        assert rendered.text == (
+            "<image>\nGive you a sentence and image, you should provide related financial knowledge. "
+            "Sentence: RT @AHedengren : # Aleppo before and after . # Syria ."
+        )
+        assert rendered.image_token == "<image>"
+        assert rendered.hash == "a42835d4f8af2e3174cdb764dc6a4ae6db35e4bcdefa65d1f49cae1080f7145d"
+
     def test_placeholder_removed_for_all_types(self):
         for template in registry_templates():
             rendered = render_context_prompt(template, ALEPPO)
@@ -135,6 +144,45 @@ class TestTaskInstruction:
         a, _ = render_task_instruction(ALEPPO, "aspect", context="ctx")
         b, _ = render_task_instruction(ALEPPO, "aspect", context="ctx")
         assert a.hash == b.hash
+
+    # The default wording in full, with its hash, for each level, with and without a context and an image token.
+    @pytest.mark.parametrize(
+        "level, context, token, digest",
+        [
+            ("sentence", None, None, "1f065b3b0858b226f4121c0bc12da1fc45fb86e67fda244685dfa78456d2927c"),
+            ("sentence", None, "<image>", "c1bdbc880a49557be8921ac4f7fc78e01bbfed8650479086260709d5c61072c5"),
+            ("sentence", "A war-torn city.", None, "cbefbb505d39d03df9beebfc572069a0ed26298948a5935312bc7b663240fb54"),
+            ("sentence", "A war-torn city.", "<image>", "74dbf214e710a6941bec2728b9b3423bf4af96318c27589db463034fdf6432f3"),
+            ("aspect", None, None, "4ee2b9dc4b961afc67f1c016a4403d3be86100fddf06576f1890ddce7029f205"),
+            ("aspect", None, "<image>", "16b76d6affccd33bde74f6bc7c010251b5ecaee3b0546df137f87f3042a6618a"),
+            ("aspect", "A war-torn city.", None, "6b23e16697eddfbc527c5b18fe088316c19eb405794a19eb32a9cac99ac80a4c"),
+            ("aspect", "A war-torn city.", "<image>", "98d0de3a227367828f7ced2a2c4def1652046911975ef5609e1e65e2596d0135"),
+        ],
+    )
+    def test_default_golden(self, level, context, token, digest):
+        question = "the sentence" if level == "sentence" else '"Aleppo"'
+        expected = (
+            ("<image>\n" if token else "")
+            + ('Context:\n"""\nA war-torn city.\n"""\n' if context else "")
+            + "Answer the single-choice question.\n"
+            + 'Sentence: "RT @AHedengren : # Aleppo before and after . # Syria ."\n'
+            + f"Question: What's the sentiment polarity of {question}?\n"
+            + "Options:\nnegative\nneutral\npositive\nAnswer:"
+        )
+        prompt, _ = render_task_instruction(ALEPPO, level, context=context, image_token=token)
+        assert (prompt.text, prompt.image_token, prompt.hash) == (expected, token, digest)
+
+    def test_braces_in_sample_text_are_kept(self):
+        sample = Sample(id="b", split="test", sentence="a {sentence} {aspect} {0} }{", aspect="{aspect}")
+        prompt, _ = render_task_instruction(sample, "aspect", context="{options}")
+        assert 'Sentence: "a {sentence} {aspect} {0} }{"' in prompt.text
+        assert 'polarity of "{aspect}"?' in prompt.text
+        assert '"""\n{options}\n"""' in prompt.text
+
+    def test_empty_image_token_adds_no_line(self):
+        prompt, _ = render_task_instruction(ALEPPO, "sentence", image_token="")
+        assert prompt.image_token is None
+        assert prompt.text.startswith("Answer")
 
 
 class TestJudgePrompt:
