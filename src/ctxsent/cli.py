@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TypeVar, get_args, get_type_hints
+from typing import Any, Callable, Literal, Mapping, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .backend import (
@@ -53,8 +53,8 @@ from .datamodel import (
     write_samples,
 )
 from .digest import stable_digest
-from .evaluate import SWEEP_MODES, compare_knowledge_types, entropy_buckets, gold_indices, label_metrics, rows_to_csv
-from .evaluate import sweep_outputs
+from .evaluate import SWEEP_MODES, _first_five, compare_knowledge_types, entropy_buckets, gold_indices, label_metrics
+from .evaluate import rows_to_csv, sweep_outputs
 from .fusion import STRATEGIES, FusionConfig, base_set, fuse_outputs
 
 # Bound here though unused: perfbench/tracing.py wraps these names on cli.
@@ -82,16 +82,16 @@ _USER_ERRORS = (TransportError, CapabilityError, ValueError, OSError)
 @dataclass(frozen=True)
 class DatasetSpec:
     path: str
-    adapter: str = "canonical-jsonl"
+    adapter: Literal[ADAPTERS] = "canonical-jsonl"
     column_map: Mapping[str, Any] | None = None
-    split: str = "test"
+    split: Literal[SPLITS] = "test"
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     alpha_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
     beta_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    mode: str = "two-phase"
+    mode: Literal[SWEEP_MODES] = "two-phase"
     fixed_alpha: float = 0.3
 
 
@@ -104,14 +104,14 @@ class RunConfig:
     classifier_backend: BackendConfig
     fusion: FusionConfig
     sweep: SweepSpec
-    level: str = "sentence"
+    level: Literal[LEVELS] = "sentence"
     knowledge_types: tuple[str, ...] = ("historical",)
     out_dir: str = "out"
     run_id: str | None = None
     seed: int = 0
     image_token: str | None = "<image>"
     cache_path: str | None = None
-    score_normalization: str = "total"
+    score_normalization: Literal[NORMALIZATION_MODES] = "total"
     template_file: str | None = None
     instruction_template_file: str | None = None
     config_hash: str = ""
@@ -146,6 +146,12 @@ def _to_text(value: Any) -> str:
     return value
 
 
+def _to_floats(values: Any) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list of numbers, got {values!r}")
+    return tuple(_to_float(v) for v in values)
+
+
 def _to_strings(values: Any) -> tuple[str, ...]:
     if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
         raise ValueError(f"expected a list of strings, got {values!r}")
@@ -166,7 +172,7 @@ _COERCIONS: dict[Any, Callable[[Any], Any]] = {
     bool: _to_bool,
     str: _to_text,
     str | None: _to_text,
-    tuple[float, ...]: lambda values: tuple(_to_float(v) for v in values),
+    tuple[float, ...]: _to_floats,
     tuple[str, ...]: _to_strings,
     Mapping[str, Any] | None: _to_mapping,
 }
@@ -185,6 +191,10 @@ def _coerce(hint: Any, value: Any) -> Any:
         if type(None) not in get_args(hint):
             raise ValueError("must not be null")
         return None
+    if get_origin(hint) is Literal:
+        if _to_text(value) not in get_args(hint):
+            raise ValueError(f"must be one of {get_args(hint)}, got {value!r}")
+        return value
     convert = _COERCIONS.get(hint)
     return value if convert is None else convert(value)
 
@@ -195,8 +205,9 @@ def _section(cls: type[T], section: Any, where: str, **derived: Any) -> T:
     The section's keys are cls's fields less the derived ones, which the
     caller computes, so each setting is named once, in its dataclass. An
     absent key keeps the field's default. Each value is converted to or
-    checked as its field's type through _COERCIONS, and a value the field
-    cannot hold, null included unless the field is optional, raises a
+    checked as its field's type through _COERCIONS, a Literal field takes
+    only one of its values, and a value the field cannot hold, null
+    included unless the field is optional, raises a
     ConfigurationError naming where.key. A null section reads as empty; one
     that is not an object raises a ConfigurationError naming where.
     """
@@ -248,15 +259,6 @@ def build_config(raw: Mapping[str, Any]) -> RunConfig:
 
 def _check_run_values(config: RunConfig) -> None:
     """Reject a value no stage can run with, so the error comes before any stage writes a file."""
-    for where, value, allowed in (
-        ("config.level", config.level, LEVELS),
-        ("config.score_normalization", config.score_normalization, NORMALIZATION_MODES),
-        ("dataset.adapter", config.dataset.adapter, ADAPTERS),
-        ("dataset.split", config.dataset.split, SPLITS),
-        ("sweep.mode", config.sweep.mode, SWEEP_MODES),
-    ):
-        if value not in allowed:
-            raise ConfigurationError(f"{where}: must be one of {allowed}, got {value!r}")
     for i, knowledge_type in enumerate(config.knowledge_types):
         if knowledge_type in config.knowledge_types[:i]:
             raise ConfigurationError(f"config.knowledge_types: {knowledge_type!r} is listed twice")
@@ -356,10 +358,6 @@ def _instruction_template(config: RunConfig) -> str | None:
     except (AttributeError, ValueError, OSError) as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
     return template
-
-
-def _first_five(ids: list[str]) -> str:
-    return f"{ids[:5]}{'...' if len(ids) > 5 else ''}"
 
 
 def _golds(samples: Sequence[Sample], ids: Sequence[str]) -> dict[str, Polarity]:

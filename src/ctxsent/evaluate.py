@@ -58,12 +58,15 @@ class MetricsReport:
         return report
 
 
+def _first_five(ids: list[str]) -> str:
+    return f"{ids[:5]}{'...' if len(ids) > 5 else ''}"
+
+
 def gold_indices(ids: Sequence[str], golds: Mapping[str, Polarity]) -> np.ndarray:
     """Gold label indices for the ids, in order; raises DatasetError naming up to five ids without one."""
     missing = [i for i in ids if i not in golds]
     if missing:
-        more = "..." if len(missing) > 5 else ""
-        raise DatasetError(f"samples without gold labels cannot be scored: {missing[:5]}{more}")
+        raise DatasetError(f"samples without gold labels cannot be scored: {_first_five(missing)}")
     return np.array([golds[i].index for i in ids], dtype=np.int64)
 
 

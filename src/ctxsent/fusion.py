@@ -6,9 +6,9 @@ probabilities are close. Alternative strategies (average, max, js, cxmi) apply
 to every sample unless explicitly composed with the gate.
 
 fuse_arrays runs the gate and every strategy over (n, 3) float64 columns;
-fuse_outputs and the sweep go through it. The per-distribution functions
-(delta, is_hard, apply_strategy and the fuse_* strategies) are the scalar
-reference it matches bit for bit.
+fuse_outputs and the sweep go through it. fuse_cf is the gated default for
+one sample. The per-sample reference for every strategy, which fuse_arrays
+matches bit for bit, lives with the tests in tests/fusion_reference.py.
 """
 
 from __future__ import annotations
@@ -98,21 +98,19 @@ def _interpolate(p: PolarityDistribution, p_hat: PolarityDistribution, beta: flo
     )
 
 
-def fuse_cf(
-    p: PolarityDistribution, p_hat: PolarityDistribution, config: FusionConfig
-) -> FusedResult:
-    """Gated convex fusion: hard samples move toward p_hat by beta, others pass through."""
-    return apply_strategy(p, p_hat, replace(config, strategy="cf"))
+def _missing_context(strategy: str) -> str:
+    return f"strategy {strategy!r} needs a context-conditioned prediction but none was supplied"
 
 
-def fuse_average(p: PolarityDistribution, p_hat: PolarityDistribution) -> PolarityDistribution:
-    """Elementwise mean of the two distributions."""
-    return PolarityDistribution(tuple((a + b) / 2.0 for a, b in zip(p.probs, p_hat.probs)))
-
-
-def fuse_max(p: PolarityDistribution, p_hat: PolarityDistribution) -> PolarityDistribution:
-    """Elementwise max, renormalized to unit sum."""
-    return PolarityDistribution.normalized([max(a, b) for a, b in zip(p.probs, p_hat.probs)])
+def fuse_cf(p: PolarityDistribution, p_hat: PolarityDistribution | None, config: FusionConfig) -> FusedResult:
+    """Gated convex fusion: hard samples move toward p_hat by beta; others pass through as p itself, without p_hat."""
+    gap = delta(p)
+    if gap > config.alpha:
+        return FusedResult(fused=p, final_label=argmax_label(p), is_hard=False, delta=gap)
+    if p_hat is None:
+        raise ValueError(_missing_context("cf"))
+    fused = _interpolate(p, p_hat, config.beta)
+    return FusedResult(fused=fused, final_label=argmax_label(fused), is_hard=True, delta=gap)
 
 
 def js_divergence(p: PolarityDistribution, q: PolarityDistribution) -> float:
@@ -132,54 +130,6 @@ def fuse_js(p: PolarityDistribution, p_hat: PolarityDistribution) -> PolarityDis
     """
     beta = js_divergence(p, PolarityDistribution.uniform())
     return _interpolate(p, p_hat, beta)
-
-
-def fuse_cxmi(
-    p: PolarityDistribution, p_hat: PolarityDistribution, threshold: float = 1.1
-) -> tuple[PolarityDistribution, Polarity]:
-    """Keep the base prediction when its top class keeps most of its mass under context.
-
-    The implemented score is the ratio p(j)/p_hat(j) at j = argmax(p), a proxy
-    for the conditional cross-mutual-information gate; the full score lives in
-    external work and is not reproduced here. Ratios above the threshold keep
-    (p, argmax p); otherwise the context-conditioned prediction wins.
-    """
-    j = argmax_label(p)
-    ratio = p[j] / max(p_hat[j], _CXMI_FLOOR)
-    if ratio > threshold:
-        return p, j
-    return p_hat, argmax_label(p_hat)
-
-
-def apply_strategy(
-    p: PolarityDistribution, p_hat: PolarityDistribution | None, config: FusionConfig
-) -> FusedResult:
-    """Dispatch one sample through the hard gate and the configured strategy.
-
-    The gate always applies to cf and applies to the alternatives only with
-    gate_alternatives. A sample the gate leaves out passes through as
-    (p, argmax p) and needs no p_hat; a sample it lets in needs p_hat.
-    """
-    gap = delta(p)
-    hard = is_hard(p, config.alpha)
-    if not hard and (config.strategy == "cf" or config.gate_alternatives):
-        return FusedResult(fused=p, final_label=argmax_label(p), is_hard=False, delta=gap)
-    if p_hat is None:
-        raise ValueError(
-            f"strategy {config.strategy!r} needs a context-conditioned prediction but none was supplied"
-        )
-    if config.strategy == "cf":
-        fused = _interpolate(p, p_hat, config.beta)
-    elif config.strategy == "average":
-        fused = fuse_average(p, p_hat)
-    elif config.strategy == "max":
-        fused = fuse_max(p, p_hat)
-    elif config.strategy == "js":
-        fused = fuse_js(p, p_hat)
-    else:
-        fused, label = fuse_cxmi(p, p_hat, config.cxmi_threshold)
-        return FusedResult(fused=fused, final_label=label, is_hard=hard, delta=gap)
-    return FusedResult(fused=fused, final_label=argmax_label(fused), is_hard=hard, delta=gap)
 
 
 def gaps(rows: np.ndarray) -> np.ndarray:
@@ -228,7 +178,7 @@ def _mix(a: np.ndarray, b: np.ndarray, weight: float | np.ndarray) -> np.ndarray
 
 
 def _strategy_rows(columns: PredictionColumns, config: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every row fused by the configured strategy, and per row whether the scalar path would accept it."""
+    """Every row fused by the configured strategy, and per row whether the fused row is a distribution."""
     a, b = columns.base, columns.with_context
     if config.strategy == "cf":
         mixed = _mix(a, b, config.beta)
@@ -251,25 +201,32 @@ def _strategy_rows(columns: PredictionColumns, config: FusionConfig) -> tuple[np
     return mixed, _valid_rows(mixed)
 
 
+def _check_row(columns: PredictionColumns, config: FusionConfig, mixed: np.ndarray, i: int) -> None:
+    """Raise row i's error: no context prediction, or PolarityDistribution's own message for its fused row."""
+    if not columns.has_context[i]:
+        raise ValueError(_missing_context(config.strategy))
+    if config.strategy == "max":
+        a, b = columns.base[i], columns.with_context[i]
+        PolarityDistribution.normalized(np.where(b > a, b, a).tolist())
+    PolarityDistribution(tuple(mixed[i].tolist()))
+
+
 def fuse_arrays(columns: PredictionColumns, config: FusionConfig) -> PredictionColumns:
-    """apply_strategy over every row of a set at once, in the same floating-point operations.
+    """The gate and the configured strategy over every row of a set at once.
 
     The result is the set with its fused rows, gate, labels and strategy
-    replaced. They equal apply_strategy's bit for bit, and labels are argmax
-    indices with ties to the lowest. Rows the gate leaves out pass through
-    as base rows and need no context prediction. The first row in input
-    order that apply_strategy would reject (a gated-in sample without a
-    context prediction, or a fused row that is not a distribution) raises
-    apply_strategy's own ValueError for it, prefixed with the sample id.
+    replaced; labels are argmax indices with ties to the lowest. Rows the
+    gate leaves out pass through as base rows and need no context
+    prediction. The first gated-in row in input order that has no context
+    prediction, or whose fused row is not a distribution, raises a
+    ValueError prefixed with its sample id.
     """
     hard = columns.delta <= config.alpha
     gated_in = hard if config.strategy == "cf" or config.gate_alternatives else np.ones_like(hard)
     mixed, valid = _strategy_rows(columns, config)
     for i in np.flatnonzero(gated_in & ~(columns.has_context & valid)):
-        p = PolarityDistribution(tuple(columns.base[i].tolist()))
-        p_hat = PolarityDistribution(tuple(columns.with_context[i].tolist())) if columns.has_context[i] else None
         try:
-            apply_strategy(p, p_hat, config)
+            _check_row(columns, config, mixed, i)
         except ValueError as exc:
             raise ValueError(f"sample {columns.ids[i]!r}: {exc}") from None
     fused = np.where(gated_in[:, None], mixed, columns.base)

@@ -1,7 +1,7 @@
 import json
 import math
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -122,6 +122,8 @@ class TestConfig:
             ({"sweep": {"mode": "bogus"}}, "sweep.mode: must be one of ('two-phase', 'full-grid'), got 'bogus'"),
             ({"instruction_template_file": "absent.txt"},
              "config.instruction_template_file: [Errno 2] No such file or directory: 'absent.txt'"),
+            ({"sweep": {"alpha_grid": "0", "beta_grid": "05"}}, "sweep.alpha_grid: expected a list of numbers, got '0'"),
+            ({"sweep": {"beta_grid": "0"}}, "sweep.beta_grid: expected a list of numbers, got '0'"),
         ],
     )
     def test_config_table(self, tmp_path, capsys, changes, error):
@@ -162,11 +164,12 @@ class TestConfig:
         assert type(params.hard_fraction) is float
 
     def test_every_config_field_has_a_rule(self):
-        # A field is converted through _COERCIONS or is a section built by its caller; none passes unchecked.
+        # A field is converted through _COERCIONS, is a Literal or is a section its caller builds; none passes unchecked.
         sections = {DatasetSpec, SweepSpec, BackendConfig, MockOracleParams, FusionConfig}
         for cls in (RunConfig, *sections):
             for name, hint in get_type_hints(cls).items():
-                assert hint in _COERCIONS or set(get_args(hint) or (hint,)) - {type(None)} <= sections, (cls, name)
+                ruled = hint in _COERCIONS or get_origin(hint) is Literal
+                assert ruled or set(get_args(hint) or (hint,)) - {type(None)} <= sections, (cls, name)
 
     @pytest.mark.parametrize(
         "body, reason",

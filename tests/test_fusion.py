@@ -9,23 +9,20 @@ from hypothesis import strategies as st
 import numpy as np
 
 from ctxsent.classifier import ClassifierOutput, OutputColumns, softmax
-from ctxsent.datamodel import Polarity, PolarityDistribution, argmax_label
+from ctxsent.datamodel import Polarity, PolarityDistribution, PredictionRecord, argmax_label
 from ctxsent.fusion import (
     STRATEGIES,
     FusionConfig,
-    apply_strategy,
     base_records,
     delta,
-    fuse_average,
     fuse_cf,
-    fuse_cxmi,
     fuse_js,
-    fuse_max,
     fuse_outputs,
     fuse_records,
     is_hard,
     js_divergence,
 )
+from fusion_reference import apply_strategy
 
 UNIFORM = PolarityDistribution.uniform()
 ONE_HOT = PolarityDistribution((1.0, 0.0, 0.0))
@@ -38,6 +35,18 @@ dist_strategy = st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=3, m
 def _random_dist(rng: random.Random) -> PolarityDistribution:
     values = [rng.random() for _ in range(3)]
     return PolarityDistribution.normalized(values)
+
+
+def _fuse_pairs(pairs, strategy: str, **knobs) -> list[PredictionRecord]:
+    """Each (p, p_hat) pair as one sample through fuse_records with the given strategy."""
+    base = [ClassifierOutput(f"s{i}", p, None) for i, (p, _) in enumerate(pairs)]
+    ctx = [ClassifierOutput(f"s{i}", q, None) for i, (_, q) in enumerate(pairs)]
+    return fuse_records(base, ctx, FusionConfig(strategy=strategy, **knobs))
+
+
+def _fuse_one(p: PolarityDistribution, p_hat: PolarityDistribution, strategy: str, **knobs) -> PredictionRecord:
+    [record] = _fuse_pairs([(p, p_hat)], strategy, **knobs)
+    return record
 
 
 class TestDelta:
@@ -99,6 +108,21 @@ class TestFuseCf:
         assert result.fused.probs == pytest.approx((0.6, 0.25, 0.15), abs=1e-12)
         assert result.final_label is Polarity.NEGATIVE
 
+    def test_without_context(self):
+        config = FusionConfig(alpha=0.3)
+        with pytest.raises(ValueError) as raised:
+            fuse_cf(UNIFORM, None, config)
+        assert str(raised.value) == "strategy 'cf' needs a context-conditioned prediction but none was supplied"
+        result = fuse_cf(ONE_HOT, None, config)
+        assert result.fused is ONE_HOT
+        assert result.is_hard is False
+
+    def test_gap_equal_to_alpha_is_hard(self):
+        p = PolarityDistribution((0.5, 0.3, 0.2))
+        result = fuse_cf(p, UNIFORM, FusionConfig(alpha=delta(p), beta=1.0))
+        assert result.is_hard
+        assert result.fused is UNIFORM
+
     @given(dist_strategy, st.floats(min_value=0.0, max_value=1.0))
     def test_fixed_point(self, p, beta):
         result = fuse_cf(p, p, FusionConfig(beta=beta))
@@ -128,25 +152,25 @@ class TestFuseCf:
 class TestFuseAverage:
     def test_identical_inputs(self):
         p = PolarityDistribution((0.5, 0.3, 0.2))
-        assert fuse_average(p, p).probs == p.probs
+        assert _fuse_one(p, p, "average").fused.probs == p.probs
 
     def test_symmetric_one_hots(self):
-        fused = fuse_average(ONE_HOT, PolarityDistribution((0.0, 1.0, 0.0)))
-        assert fused.probs == (0.5, 0.5, 0.0)
+        record = _fuse_one(ONE_HOT, PolarityDistribution((0.0, 1.0, 0.0)), "average")
+        assert record.fused.probs == (0.5, 0.5, 0.0)
 
     def test_hand_mean(self):
-        fused = fuse_average(PolarityDistribution((0.2, 0.3, 0.5)), PolarityDistribution((0.6, 0.3, 0.1)))
-        assert fused.probs == pytest.approx((0.4, 0.3, 0.3), abs=1e-12)
+        record = _fuse_one(PolarityDistribution((0.2, 0.3, 0.5)), PolarityDistribution((0.6, 0.3, 0.1)), "average")
+        assert record.fused.probs == pytest.approx((0.4, 0.3, 0.3), abs=1e-12)
 
 
 class TestFuseMax:
     def test_identical_inputs(self):
         p = PolarityDistribution((0.5, 0.3, 0.2))
-        assert fuse_max(p, p).probs == pytest.approx(p.probs, abs=1e-12)
+        assert _fuse_one(p, p, "max").fused.probs == pytest.approx(p.probs, abs=1e-12)
 
     def test_hand_max_with_renormalization(self):
-        fused = fuse_max(PolarityDistribution((0.5, 0.3, 0.2)), PolarityDistribution((0.2, 0.5, 0.3)))
-        assert fused.probs == pytest.approx((0.5 / 1.3, 0.5 / 1.3, 0.3 / 1.3), abs=1e-12)
+        record = _fuse_one(PolarityDistribution((0.5, 0.3, 0.2)), PolarityDistribution((0.2, 0.5, 0.3)), "max")
+        assert record.fused.probs == pytest.approx((0.5 / 1.3, 0.5 / 1.3, 0.3 / 1.3), abs=1e-12)
 
     def test_one_hot_argmax_survives_brute_force(self):
         rng = random.Random(42)
@@ -154,9 +178,8 @@ class TestFuseMax:
             values = [0.0, 0.0, 0.0]
             values[index] = 1.0
             one_hot = PolarityDistribution(tuple(values))
-            for _ in range(200):
-                fused = fuse_max(one_hot, _random_dist(rng))
-                assert argmax_label(fused).index == index
+            records = _fuse_pairs([(one_hot, _random_dist(rng)) for _ in range(200)], "max")
+            assert all(record.final_label.index == index for record in records)
 
 
 class TestJs:
@@ -196,22 +219,23 @@ class TestJs:
 class TestFuseCxmi:
     def test_equal_distributions_take_context(self):
         p = PolarityDistribution((0.5, 0.3, 0.2))
-        fused, label = fuse_cxmi(p, p, threshold=1.1)
-        assert fused is p  # ratio 1 <= 1.1 adopts the context-side prediction
-        assert label is Polarity.NEGATIVE
+        record = _fuse_one(p, p, "cxmi", cxmi_threshold=1.1)
+        assert _bits(record.fused.probs) == _bits(p.probs)  # ratio 1 <= 1.1 adopts the context-side prediction
+        assert record.final_label is Polarity.NEGATIVE
 
     def test_confident_base_retained(self):
         p = PolarityDistribution((0.9, 0.05, 0.05))
         p_hat = PolarityDistribution((0.5, 0.3, 0.2))
-        fused, label = fuse_cxmi(p, p_hat, threshold=1.1)
-        assert fused is p
-        assert label is Polarity.NEGATIVE
+        record = _fuse_one(p, p_hat, "cxmi", cxmi_threshold=1.1)
+        assert _bits(record.fused.probs) == _bits(p.probs)
+        assert record.final_label is Polarity.NEGATIVE
 
     def test_ratio_below_threshold_takes_context(self):
         p = PolarityDistribution((0.5, 0.3, 0.2))
         p_hat = PolarityDistribution((0.55, 0.35, 0.1))
-        fused, label = fuse_cxmi(p, p_hat, threshold=1.1)
-        assert fused is p_hat
+        record = _fuse_one(p, p_hat, "cxmi", cxmi_threshold=1.1)
+        assert _bits(record.fused.probs) == _bits(p_hat.probs)
+        assert record.final_label is argmax_label(p_hat)
 
     def test_threshold_sweep_monotone_gate(self):
         # Raising the threshold can only move samples from base to context.
@@ -220,20 +244,17 @@ class TestFuseCxmi:
         kept_base = []
         thresholds = [0.5 + 0.1 * i for i in range(16)]
         for threshold in thresholds:
-            count = 0
-            for p, p_hat in pairs:
-                fused, _ = fuse_cxmi(p, p_hat, threshold=threshold)
-                if fused is p:
-                    count += 1
-            kept_base.append(count)
+            records = _fuse_pairs(pairs, "cxmi", cxmi_threshold=threshold)
+            kept_base.append(sum(_bits(r.fused.probs) == _bits(p.probs) for r, (p, _) in zip(records, pairs)))
         assert all(a >= b for a, b in zip(kept_base, kept_base[1:]))
         assert kept_base[0] > kept_base[-1]
 
     def test_zero_denominator_guarded(self):
         p = PolarityDistribution((1.0, 0.0, 0.0))
         p_hat = PolarityDistribution((0.0, 1.0, 0.0))
-        fused, label = fuse_cxmi(p, p_hat, threshold=1.1)
-        assert fused is p
+        record = _fuse_one(p, p_hat, "cxmi", cxmi_threshold=1.1)
+        assert _bits(record.fused.probs) == _bits(p.probs)
+        assert record.final_label is Polarity.NEGATIVE
 
 
 class TestApplyStrategyAndRecords:
@@ -245,15 +266,16 @@ class TestApplyStrategyAndRecords:
     def test_alternative_strategies_apply_without_gate(self):
         confident = PolarityDistribution((0.9, 0.05, 0.05))
         other = PolarityDistribution((0.1, 0.8, 0.1))
-        result = apply_strategy(confident, other, FusionConfig(strategy="average"))
-        assert result.fused.probs == pytest.approx((0.5, 0.425, 0.075), abs=1e-12)
-        assert not result.is_hard
+        record = _fuse_one(confident, other, "average")
+        assert record.fused.probs == pytest.approx((0.5, 0.425, 0.075), abs=1e-12)
+        assert not record.is_hard
 
     def test_gated_alternative_passes_through_easy_samples(self):
         confident = PolarityDistribution((0.9, 0.05, 0.05))
         other = PolarityDistribution((0.1, 0.8, 0.1))
-        result = apply_strategy(confident, other, FusionConfig(strategy="average", gate_alternatives=True))
-        assert result.fused is confident
+        record = _fuse_one(confident, other, "average", gate_alternatives=True)
+        assert _bits(record.fused.probs) == _bits(confident.probs)
+        assert record.final_label is argmax_label(confident)
 
     def test_fuse_records_builds_one_record(self):
         base, ctx = self._outputs()
