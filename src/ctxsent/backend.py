@@ -25,10 +25,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
-import numpy as np
-
-from .datamodel import POLARITIES, Polarity
-from .digest import derive_seed, stable_digest
+from .datamodel import Polarity
+from .digest import derive_seed, digest_words, stable_digest
 from .prompts import RenderedPrompt
 
 logger = logging.getLogger(__name__)
@@ -171,9 +169,11 @@ class ChoiceScores:
 class ScoreHint:
     """Sample-level metadata for scoring calls.
 
-    The remote backend ignores it. The mock oracle keys its per-sample
-    behaviour (hardness, correctness) on sample_id and biases scores toward
-    gold; without a gold label it derives a stable pseudo-gold instead.
+    The remote backend ignores it. The mock oracle draws a sample's scores
+    from one digest keyed on the seed and sample_id, reading its base or its
+    conditioned slice by the conditioned flag, and puts the winner or the
+    runner-up on gold; without a gold label it derives a stable pseudo-gold
+    instead.
     """
 
     sample_id: str
@@ -201,19 +201,29 @@ def _check_choices(choices: Sequence[str]) -> None:
         raise ValueError(f"score_choices requires exactly 3 choices, got {len(choices)}")
 
 
+def _unit(word: int) -> float:
+    """A uniform in [0, 1) from the top 53 bits of a 64-bit digest word."""
+    return (word >> 11) * 2.0**-53
+
+
 class MockBackend:
     """Deterministic stand-in for a model server.
 
     generate() returns text that starts with the first 12 hex characters of
-    the prompt hash, so downstream artifacts are trivially traceable. Scores
-    come from the synthetic oracle described on MockOracleParams. Determinism
-    is keyed on (seed, sample identity, conditioned flag).
+    the prompt hash, so downstream artifacts are trivially traceable; its 12
+    words come from one digest keyed on (seed, "generate", prompt hash,
+    model id). Scores come from the synthetic oracle described on
+    MockOracleParams, drawn from one digest keyed on (seed, "score", sample
+    identity): word 0 sets hardness, shared by the base and the conditioned
+    call, words 1-3 the base score and words 4-6 the conditioned one. The
+    identity is the hint's sample_id, or the prompt hash without a hint.
     """
 
     _VOCAB = (
         "context", "background", "history", "detail", "scene", "figure",
         "event", "period", "culture", "record", "insight", "note",
     )
+    _DIGITS = tuple(12**k for k in range(12))
 
     def __init__(self, config: BackendConfig, seed: int | None = None):
         self.config = config
@@ -221,16 +231,18 @@ class MockBackend:
         if seed is not None:
             self.params = replace(self.params, seed=seed)
 
-    def _rng(self, *parts: object) -> np.random.Generator:
-        return np.random.default_rng(derive_seed(self.params.seed, *parts))
-
     def generate(self, prompt: RenderedPrompt, image: str | None = None) -> str:
-        rng = self._rng("generate", prompt.hash, self.config.model_id)
-        words = [self._VOCAB[int(i)] for i in rng.integers(0, len(self._VOCAB), size=12)]
-        return f"{prompt.hash[:12]} " + " ".join(words) + "."
+        words = digest_words(self.params.seed, "generate", prompt.hash, self.config.model_id)
+        # The 12 base-12 digits of a 128-bit number: the bias toward low digits is below 2**-80.
+        number = words[0] << 64 | words[1]
+        picks = [self._VOCAB[number // power % 12] for power in self._DIGITS]
+        return f"{prompt.hash[:12]} " + " ".join(picks) + "."
+
+    def _score_words(self, identity: str) -> tuple[int, ...]:
+        return digest_words(self.params.seed, "score", identity)
 
     def is_hard_sample(self, identity: str) -> bool:
-        return float(self._rng("hard", identity).random()) < self.params.hard_fraction
+        return _unit(self._score_words(identity)[0]) < self.params.hard_fraction
 
     def score_choices(
         self,
@@ -244,41 +256,39 @@ class MockBackend:
         identity = hint.sample_id if hint else prompt.hash
         conditioned = hint.conditioned if hint else False
         if hint and hint.gold is not None:
-            gold = hint.gold
+            gold = hint.gold.index
         else:
-            gold = POLARITIES[derive_seed(self.params.seed, "gold", identity) % 3]
+            gold = derive_seed(self.params.seed, "gold", identity) % 3
 
-        hard = self.is_hard_sample(identity)
         params = self.params
-        rng = self._rng("score", identity, "ctx" if conditioned else "base")
+        words = self._score_words(identity)
+        hard = _unit(words[0]) < params.hard_fraction
+        # Correctness (its lowest bit picks the other polarity), margin, third probability.
+        correct_word, margin_word, third_word = words[4:7] if conditioned else words[1:4]
         if conditioned:
             accuracy = params.hard_context_accuracy if hard else params.effective_easy_context_accuracy
         else:
             accuracy = params.hard_base_accuracy if hard else params.easy_base_accuracy
-        correct = float(rng.random()) < accuracy
+        correct = _unit(correct_word) < accuracy
         if conditioned:
             # Wrong context reads as confidently wrong background noise.
             margin_lo, margin_hi = (0.30, 0.80) if correct else (0.60, 0.95)
         else:
             margin_lo, margin_hi = (0.01, 0.25) if hard else (0.45, 0.90)
-        others = [p for p in POLARITIES if p is not gold]
-        if correct:
-            winner, runner = gold, others[int(rng.integers(2))]
-        else:
-            winner, runner = others[int(rng.integers(2))], gold
-        third = next(p for p in POLARITIES if p not in (winner, runner))
+        other = (gold + 1 + (correct_word & 1)) % 3
+        winner, runner = (gold, other) if correct else (other, gold)
 
-        margin = float(rng.uniform(margin_lo, margin_hi))
+        margin = margin_lo + (margin_hi - margin_lo) * _unit(margin_word)
         # Third probability stays below (1 - margin) / 3 so the ordering
         # winner >= runner >= third holds by construction.
         p3_hi = (1.0 - margin) / 3.0
-        p3 = float(rng.uniform(min(0.02, p3_hi / 2.0), p3_hi))
+        p3_lo = min(0.02, p3_hi / 2.0)
+        p3 = p3_lo + (p3_hi - p3_lo) * _unit(third_word)
         p1 = (1.0 - p3 + margin) / 2.0
         p2 = (1.0 - p3 - margin) / 2.0
         probs = [0.0, 0.0, 0.0]
-        probs[winner.index], probs[runner.index], probs[third.index] = p1, p2, p3
-        scores = tuple(math.log(p) for p in probs)
-        return ChoiceScores(scores=scores, normalization_mode=normalization)
+        probs[winner], probs[runner], probs[3 - winner - runner] = p1, p2, p3
+        return ChoiceScores(scores=tuple(map(math.log, probs)), normalization_mode=normalization)
 
 
 class RemoteBackend:
@@ -485,7 +495,7 @@ def map_calls(backend: Backend, fn: Callable[[T], R], items: Sequence[T]) -> lis
 
 # Bump when the key or the stored value changes meaning; lines written under
 # another schema are skipped on load.
-CACHE_SCHEMA = "3"
+CACHE_SCHEMA = "4"
 
 
 def backend_cache_key(backend: Backend) -> str:

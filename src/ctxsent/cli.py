@@ -147,9 +147,14 @@ def _to_text(value: Any) -> str:
 
 
 def _to_floats(values: Any) -> tuple[float, ...]:
+    """A list of numbers within [0, 1]: the sweep's α and β grids are a config's only float lists."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"expected a list of numbers, got {values!r}")
-    return tuple(_to_float(v) for v in values)
+    floats = tuple(_to_float(v) for v in values)
+    for value in floats:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"expected numbers within [0, 1], got {value!r}")
+    return floats
 
 
 def _to_strings(values: Any) -> tuple[str, ...]:

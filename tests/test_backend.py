@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import socket
@@ -123,6 +124,108 @@ class TestMockBackend:
         backend = make_mock_backend()
         with pytest.raises(ValueError, match="3 choices"):
             backend.score_choices(_prompt(), ("yes", "no"))
+
+
+def _within(hits, n, p):
+    """Whether hits out of n is within five binomial standard deviations of the share p."""
+    return abs(hits / n - p) <= 5 * math.sqrt(p * (1 - p) / n) + 1e-12
+
+
+class TestMockOracleContract:
+    """The mock's draws, over many ids, show the shares and ranges MockOracleParams promises."""
+
+    N = 20_000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        backend = MockBackend(BackendConfig(kind="mock", model_id="m"), seed=21)
+        prompt = RenderedPrompt(text="t", image_token=None, hash="h")
+        rows = []
+        for i in range(self.N):
+            sample_id, gold = f"id{i}", Polarity(i % 3)
+            row = [sample_id, gold]
+            for conditioned in (False, True):
+                hint = ScoreHint(sample_id, gold, conditioned=conditioned)
+                probs = [math.exp(s) for s in backend.score_choices(prompt, CHOICES, hint=hint).scores]
+                row.append(sorted(range(3), key=probs.__getitem__, reverse=True))
+                row.append(probs)
+            rows.append(row)
+        return backend, rows
+
+    def test_shares_match_params(self, draws):
+        backend, rows = draws
+        params = backend.params
+        groups = {True: [], False: []}
+        for sample_id, gold, base_order, base_probs, ctx_order, ctx_probs in rows:
+            winner, runner, _ = base_order
+            hard = base_probs[winner] - base_probs[runner] <= 0.25
+            assert backend.is_hard_sample(sample_id) is hard
+            groups[hard].append((base_order[0] == gold.index, ctx_order[0] == gold.index))
+        assert _within(len(groups[True]), self.N, params.hard_fraction)
+        expected = {
+            True: (params.hard_base_accuracy, params.hard_context_accuracy),
+            False: (params.easy_base_accuracy, params.effective_easy_context_accuracy),
+        }
+        for hard, outcomes in groups.items():
+            base_accuracy, context_accuracy = expected[hard]
+            n = len(outcomes)
+            assert _within(sum(base for base, _ in outcomes), n, base_accuracy)
+            assert _within(sum(ctx for _, ctx in outcomes), n, context_accuracy)
+            # The conditioned draw is independent of the base one.
+            after_right = [ctx for base, ctx in outcomes if base]
+            after_wrong = [ctx for base, ctx in outcomes if not base]
+            assert _within(sum(after_right), len(after_right), context_accuracy)
+            assert _within(sum(after_wrong), len(after_wrong), context_accuracy)
+
+    def test_margins_and_order(self, draws):
+        _, rows = draws
+        margins = {}
+        other_first = {True: [], False: []}
+        for _, gold, base_order, base_probs, ctx_order, ctx_probs in rows:
+            for conditioned, order, probs in ((False, base_order, base_probs), (True, ctx_order, ctx_probs)):
+                winner, runner, third = (probs[i] for i in order)
+                assert winner >= runner >= third > 0
+                assert abs(winner + runner + third - 1.0) <= 1e-12
+                assert third <= (1.0 - (winner - runner)) / 3.0 + 1e-12
+                correct = order[0] == gold.index
+                margin = winner - runner
+                if conditioned:
+                    group = ("ctx", correct)
+                else:
+                    group = ("base", margin <= 0.25)
+                margins.setdefault(group, []).append(margin)
+                # The polarity besides gold among the top two is either other one, evenly, right or wrong.
+                other = order[1] if correct else order[0]
+                other_first[correct].append(other == min(i for i in range(3) if i != gold.index))
+        ranges = {
+            ("base", True): (0.01, 0.25),
+            ("base", False): (0.45, 0.90),
+            ("ctx", True): (0.30, 0.80),
+            ("ctx", False): (0.60, 0.95),
+        }
+        for group, (lo, hi) in ranges.items():
+            values = margins[group]
+            least, most, width = min(values), max(values), hi - lo
+            assert lo - 1e-12 <= least and most <= hi + 1e-12, group
+            assert least - lo < 0.01 * width and hi - most < 0.01 * width, group
+            # Drawn from 53 bits, not a byte: no two margins coincide.
+            assert len(set(values)) == len(values), group
+            # Uniform over the range: mean at the midpoint, within five standard errors.
+            assert abs(sum(values) / len(values) - (lo + hi) / 2) <= 5 * width / math.sqrt(12 * len(values)), group
+        for picks in other_first.values():
+            assert _within(sum(picks), len(picks), 0.5)
+
+    def test_generate_reaches_every_word_evenly(self):
+        backend = MockBackend(BackendConfig(kind="mock", model_id="m"), seed=21)
+        counts = dict.fromkeys(MockBackend._VOCAB, 0)
+        for i in range(2_000):
+            text = backend.generate(RenderedPrompt(text="t", image_token=None, hash=f"{i:032x}"))
+            words = text.removesuffix(".").split()[1:]
+            assert len(words) == 12
+            for word in words:
+                counts[word] += 1
+        assert set(counts) == set(MockBackend._VOCAB)
+        assert all(_within(count, 24_000, 1 / 12) for count in counts.values())
 
 
 class TestCache:

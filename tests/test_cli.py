@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config
-from ctxsent.backend import BackendConfig, MockOracleParams, ResponseCache, TransportError
+from ctxsent.backend import CACHE_SCHEMA, BackendConfig, MockOracleParams, ResponseCache, TransportError
 from ctxsent.cli import (
     _COERCIONS,
     DatasetSpec,
@@ -124,6 +124,8 @@ class TestConfig:
              "config.instruction_template_file: [Errno 2] No such file or directory: 'absent.txt'"),
             ({"sweep": {"alpha_grid": "0", "beta_grid": "05"}}, "sweep.alpha_grid: expected a list of numbers, got '0'"),
             ({"sweep": {"beta_grid": "0"}}, "sweep.beta_grid: expected a list of numbers, got '0'"),
+            ({"sweep": {"beta_grid": [5]}}, "sweep.beta_grid: expected numbers within [0, 1], got 5.0"),
+            ({"sweep": {"alpha_grid": [0.1, -0.2]}}, "sweep.alpha_grid: expected numbers within [0, 1], got -0.2"),
         ],
     )
     def test_config_table(self, tmp_path, capsys, changes, error):
@@ -618,6 +620,31 @@ class TestCacheScope:
         assert len(second) == first == 90
         assert not any(second)
         assert len(cache_path.read_text().splitlines()) == 90
+
+    def test_older_mock_answers_are_never_served(self, tmp_path):
+        def run(name, cache_path):
+            (tmp_path / name).mkdir()
+            config_path = write_config(tmp_path / name / "config.json", cache_path=cache_path)
+            for command in ("ingest", "generate-context", "predict"):
+                assert _run(command, "--config", config_path) == 0
+            artifacts = _artifacts(tmp_path / name / "out" / "run")
+            return {n: b for n, b in artifacts.items() if n.startswith(("contexts.", "predictions."))}
+
+        def rewrite(schema):
+            stale = {"text": "stale context.", "scores": {"scores": [-0.1, -3.0, -3.0], "normalization_mode": "total"}}
+            rows = [{**line, "schema": schema, "value": stale[line["kind"]]} for line in lines]
+            cache_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        uncached = run("uncached", None)
+        cache_path = tmp_path / "cache.jsonl"
+        run("fill", str(cache_path))
+        lines = [json.loads(line) for line in cache_path.read_text().splitlines()]
+        # Wrong answers under today's keys, written by the previous mock's schema.
+        rewrite("3")
+        assert run("stale", str(cache_path)) == uncached
+        # Under the current schema the same lines are served: the keys are the ones predict looks up.
+        rewrite(CACHE_SCHEMA)
+        assert run("served", str(cache_path)) != uncached
 
 
 class TestJudgeAndSaliencyCommands:
